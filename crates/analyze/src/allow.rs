@@ -1,6 +1,6 @@
-//! The burn-down allowlist contract shared by `xtask lint` (L0xx) and
-//! `xtask analyze` (S0xx): one `<path> <CODE>` line per known offence,
-//! counts compared per `(path, code)`. The list is a burn-down, not a
+//! The burn-down allowlist contract of `xtask analyze`
+//! (`crates/xtask/analyze-allow.txt`): one `<path> <CODE>` line per known
+//! offence, counts compared per `(path, code)`. The list is a burn-down, not a
 //! licence — entries that no longer match a real offence are *stale* and
 //! fail the run until removed, so a list can only shrink.
 
@@ -115,24 +115,24 @@ mod tests {
     #[test]
     fn allowlist_judging() {
         let allowed = parse_allowlist(
-            "# comment\ncrates/a/src/x.rs L001\ncrates/a/src/x.rs L001\ncrates/b/src/y.rs L003\n",
+            "# comment\ncrates/a/src/x.rs S001\ncrates/a/src/x.rs S001\ncrates/b/src/y.rs S003\n",
         );
-        // Two L001s allowed, two found; L003 allowed but absent -> stale;
-        // L002 found but not allowed -> new offence.
+        // Two S001s allowed, two found; S003 allowed but absent -> stale;
+        // S002 found but not allowed -> new offence.
         let v = judge(
             vec![
-                mk("crates/a/src/x.rs", "L001"),
-                mk("crates/a/src/x.rs", "L001"),
-                mk("crates/a/src/x.rs", "L002"),
+                mk("crates/a/src/x.rs", "S001"),
+                mk("crates/a/src/x.rs", "S001"),
+                mk("crates/a/src/x.rs", "S002"),
             ],
             &allowed,
         );
         assert!(!v.ok());
         assert_eq!(v.new_offences.len(), 1);
-        assert_eq!(v.new_offences[0].code, "L002");
+        assert_eq!(v.new_offences[0].code, "S002");
         assert_eq!(
             v.stale,
-            vec![("crates/b/src/y.rs".to_string(), "L003".to_string(), 1)]
+            vec![("crates/b/src/y.rs".to_string(), "S003".to_string(), 1)]
         );
         assert_eq!(v.total, 3);
     }
@@ -147,14 +147,14 @@ mod tests {
             message: String::new(),
         };
         let forward = vec![
-            mk_at("crates/a/src/x.rs", 2, "L001"),
-            mk_at("crates/a/src/x.rs", 9, "L002"),
-            mk_at("crates/b/src/y.rs", 5, "L001"),
+            mk_at("crates/a/src/x.rs", 2, "S001"),
+            mk_at("crates/a/src/x.rs", 9, "S002"),
+            mk_at("crates/b/src/y.rs", 5, "S001"),
         ];
         let shuffled = vec![
-            mk_at("crates/b/src/y.rs", 5, "L001"),
-            mk_at("crates/a/src/x.rs", 9, "L002"),
-            mk_at("crates/a/src/x.rs", 2, "L001"),
+            mk_at("crates/b/src/y.rs", 5, "S001"),
+            mk_at("crates/a/src/x.rs", 9, "S002"),
+            mk_at("crates/a/src/x.rs", 2, "S001"),
         ];
         assert_eq!(
             render_allowlist(&forward, "h"),
@@ -165,14 +165,14 @@ mod tests {
     #[test]
     fn allowlist_round_trip() {
         let findings = vec![
-            mk("crates/a/src/x.rs", "L001"),
-            mk("crates/a/src/x.rs", "L001"),
+            mk("crates/a/src/x.rs", "S001"),
+            mk("crates/a/src/x.rs", "S001"),
         ];
         let rendered = render_allowlist(&findings, "two lines\nof header");
         assert!(rendered.starts_with("# two lines\n# of header\n"));
         let parsed = parse_allowlist(&rendered);
         assert_eq!(
-            parsed.get(&("crates/a/src/x.rs".to_string(), "L001".to_string())),
+            parsed.get(&("crates/a/src/x.rs".to_string(), "S001".to_string())),
             Some(&2)
         );
     }

@@ -1,6 +1,8 @@
 //! Public-API surface snapshots (S020/S021): every workspace library
 //! crate's `pub` item signatures are extracted into a checked-in
-//! `api/<crate>.txt`; un-reviewed drift fails CI.
+//! `api/<crate>.txt`; un-reviewed drift fails CI. S022 keeps the surface
+//! from fragmenting again: a `pub fn diff_*` outside `crates/core` is a
+//! second diff entry point beside the `Differ` facade.
 //!
 //! A "signature" is the token run from `pub` to the item's body/value
 //! (`{`, `=`, `;`, or a field-terminating `,`), normalized to one line.
@@ -10,7 +12,40 @@
 //! and friends are internal and excluded, as is anything under
 //! `#[cfg(test)]` or in `src/bin/`.
 
+use crate::lexer::TokenKind;
 use crate::parser::FileModel;
+use crate::report::Finding;
+
+/// S022: `pub fn diff_*` in non-test code outside `crates/core`, the one
+/// sanctioned home of diff entry points. Honours `analyze: allow(S022)`.
+pub fn stray_entry_points(model: &FileModel, findings: &mut Vec<Finding>, waived: &mut usize) {
+    if model.rel.starts_with("crates/core/") {
+        return;
+    }
+    for s in 0..model.sig.len() {
+        let (Some(tok), Some(name)) = (model.tok(s), model.tok(s + 2)) else {
+            continue;
+        };
+        if !(model.word(s, "pub") && model.word(s + 1, "fn"))
+            || name.kind != TokenKind::Ident
+            || !model.lexed.text(name).starts_with("diff_")
+            || model.is_test_line(tok.line)
+        {
+            continue;
+        }
+        if model.waived(tok.line, "S022") {
+            *waived += 1;
+            continue;
+        }
+        findings.push(Finding {
+            path: model.rel.clone(),
+            line: tok.line,
+            col: tok.col,
+            code: "S022",
+            message: "public `diff_*` entry point outside the crates/core facade".to_string(),
+        });
+    }
+}
 
 /// Extracts the sorted signature lines for one file, each prefixed with
 /// the repo-relative path so review diffs point somewhere.
@@ -207,6 +242,37 @@ mod tests {
                 "crates/x/src/lib.rs: pub fn f<'a, V: NodeValue>(t: &'a Tree<V>) -> Option<&'a V>"
             ]
         );
+    }
+
+    fn stray(rel: &str, src: &str) -> (Vec<Finding>, usize) {
+        let mut findings = Vec::new();
+        let mut waived = 0;
+        stray_entry_points(&FileModel::build(rel, src), &mut findings, &mut waived);
+        (findings, waived)
+    }
+
+    #[test]
+    fn s022_diff_entry_point_outside_core_trips_one_finding() {
+        let src = "pub fn diff_all(a: u8) {}\n";
+        assert!(stray("crates/core/src/batch.rs", src).0.is_empty());
+        let (f, _) = stray("crates/doc/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code, "S022");
+        assert_eq!((f[0].line, f[0].col), (1, 1));
+    }
+
+    #[test]
+    fn s022_spares_the_facade_name_private_fns_tests_and_waivers() {
+        let (f, waived) = stray(
+            "crates/doc/src/x.rs",
+            "pub fn diff(a: u8) {}\n\
+             fn diff_private() {}\n\
+             pub(crate) fn diff_crate() {}\n\
+             pub fn diff_old() {} // analyze: allow(S022) compatibility shim\n\
+             #[cfg(test)]\nmod tests {\n    pub fn diff_helper() {}\n}\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(waived, 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Arena discipline (S040–S042) in `crates/tree`: the flat
-//! preorder-contiguous arena's invariants must flow through its blessed
-//! helpers, not ad-hoc token soup.
+//! Arena discipline (S040–S043): the flat preorder-contiguous arena's
+//! invariants must flow through its blessed helpers in `crates/tree`, not
+//! ad-hoc token soup.
 //!
 //! * **S040** — raw `[…]` indexing into the `Tree` SoA columns
 //!   (`self.parents[i]`, …) outside the five blessed accessors
@@ -16,8 +16,12 @@
 //!   `try_from_index`). Sentinel *production* (`= NIL`, `vec![NIL; n]`)
 //!   is fine; it is the scattered comparisons that rot when the sentinel
 //!   representation changes.
+//! * **S043** — `NodeId::from_index` outside `crates/tree`. Ids come from
+//!   the tree that owns them; minting one from a raw index elsewhere
+//!   bypasses the arena's liveness and layout bookkeeping.
 //!
-//! All three honour `// analyze: allow(S04x) reason` inline waivers and
+//! S040–S042 apply inside `crates/tree`, S043 everywhere else. All four
+//! honour `// analyze: allow(S04x) reason` inline waivers and
 //! exempt `#[cfg(test)]` code.
 
 use crate::lexer::TokenKind;
@@ -57,9 +61,11 @@ pub const BLESSED_CAST_FNS: &[&str] = &[
 /// Functions allowed to compare against the NIL sentinel directly.
 pub const SENTINEL_FNS: &[&str] = &["is_nil", "try_from_index", "n32"];
 
-/// Runs the S040–S042 checks over one file (no-op outside `crates/tree`).
+/// Runs the S040–S042 checks over one `crates/tree` file, or S043 over
+/// any other.
 pub fn arena_discipline(model: &FileModel, findings: &mut Vec<Finding>, waived: &mut usize) {
     if !model.rel.starts_with("crates/tree/src/") {
+        foreign_id_minting(model, findings, waived);
         return;
     }
     let n = model.sig.len();
@@ -126,6 +132,26 @@ pub fn arena_discipline(model: &FileModel, findings: &mut Vec<Finding>, waived: 
                     "direct NIL-sentinel comparison — use the `is_nil` sentinel helper".to_string(),
                 );
             }
+        }
+    }
+}
+
+/// S043: `NodeId::from_index` in non-test code outside `crates/tree`.
+fn foreign_id_minting(model: &FileModel, findings: &mut Vec<Finding>, waived: &mut usize) {
+    for s in 0..model.sig.len() {
+        let minted = model.word(s, "NodeId")
+            && model.punct(s + 1, ':')
+            && model.punct(s + 2, ':')
+            && model.word(s + 3, "from_index");
+        if minted && model.tok(s).is_some_and(|t| !model.is_test_line(t.line)) {
+            report(
+                model,
+                findings,
+                waived,
+                s,
+                "S043",
+                "raw `NodeId::from_index` outside crates/tree — take ids from the tree".to_string(),
+            );
         }
     }
 }
@@ -281,6 +307,27 @@ mod tests {
         let (f, waived) = run(
             "crates/tree/src/tree.rs",
             "fn bad(p: u32) -> bool {\n    p == NIL // analyze: allow(S042) serde boundary\n}\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(waived, 1);
+    }
+
+    #[test]
+    fn s043_id_minting_outside_tree_trips_one_finding() {
+        let src = "fn f() {\n    let id = NodeId::from_index(3);\n}\n";
+        assert!(run("crates/tree/src/x.rs", src).0.is_empty());
+        let (f, _) = run("crates/delta/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code, "S043");
+        assert_eq!((f[0].line, f[0].col), (2, 14));
+    }
+
+    #[test]
+    fn s043_test_code_and_waivers_are_exempt() {
+        let (f, waived) = run(
+            "crates/edit/src/x.rs",
+            "fn f() {\n    g(NodeId::from_index(1)); // analyze: allow(S043) dense id map\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() {\n        NodeId::from_index(2);\n    }\n}\n",
         );
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(waived, 1);

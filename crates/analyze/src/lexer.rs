@@ -1,7 +1,7 @@
 //! The hand-written Rust lexer behind every analysis pass: one scan of the
 //! source into spanned [`Token`]s, from which both the structural passes
-//! (parser, call graph) and the lexical ones (masking for the `L0xx`
-//! substring lints) are derived.
+//! (parser, call graph) and the masked view the `#[cfg(test)]` region scan
+//! reads are derived.
 //!
 //! The lexer is deliberately *not* a full Rust tokenizer — it recognises
 //! exactly the classes the passes need to be sound about: nested block
@@ -78,9 +78,8 @@ impl Lexed {
     }
 
     /// The source with comment bodies and string/char-literal contents
-    /// blanked to spaces (newlines preserved, so line numbers survive).
-    /// This reproduces the masking contract the `L0xx` substring lints are
-    /// defined against.
+    /// blanked to spaces (newlines preserved, so line numbers survive), so
+    /// a textual scan never matches inside a comment or literal.
     pub fn masked(&self) -> String {
         let mut out = self.chars.clone();
         for t in &self.tokens {

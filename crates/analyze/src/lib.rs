@@ -5,8 +5,8 @@
 //! feeds every pass:
 //!
 //! * [`lexer`] — spanned tokens (nested block comments, raw strings of any
-//!   `#` depth, char literals vs. lifetimes, doc comments) plus the masked
-//!   view the substring lints are defined against.
+//!   `#` depth, char literals vs. lifetimes, doc comments) plus a masked
+//!   view with comment and literal contents blanked.
 //! * [`parser`] — item/block recovery: `fn` scopes, loop bodies,
 //!   `#[cfg(test)]` regions, `use` imports, `dyn`-typed parameters.
 //! * [`resolve`] — the path-, import-, and impl-resolved call graph every
@@ -16,30 +16,28 @@
 //!   reachable from the `Differ` facade, batch workers, and CLI mains.
 //! * [`hotloop`] — **S010/S011**: allocation and `dyn` dispatch inside
 //!   loop bodies of `hierdiff-analyze: hot-module`-marked files.
-//! * [`api`] — **S020/S021**: public-API surface snapshots under `api/`,
-//!   failing on un-reviewed drift.
+//! * [`api`] — **S020–S022**: public-API surface snapshots under `api/`,
+//!   failing on un-reviewed drift, and `pub fn diff_*` entry points
+//!   outside the `crates/core` facade.
 //! * [`guardcov`] — **S030/S031**: every loop in the governed kernels and
 //!   every `Differ::diff`-reachable loop in the governed crates must carry
 //!   a `tick()`/`checkpoint()` guard.
-//! * [`arena`] — **S040–S042**: the flat arena's SoA indexing, narrowing
-//!   casts, and NIL-sentinel comparisons must flow through the blessed
-//!   helpers in `crates/tree`.
+//! * [`arena`] — **S040–S043**: the flat arena's SoA indexing, narrowing
+//!   casts, NIL-sentinel comparisons, and `NodeId` minting must flow
+//!   through the blessed helpers in `crates/tree`.
 //! * [`concurrency`] — **S050–S055**: the serve/guard lock model —
 //!   lock-order cycles, `PoisonError::into_inner` recovery, foreign or
 //!   blocking calls under a lock, unwind-unsafe `catch_unwind`
 //!   boundaries, and guard checkpoints under a lock.
-//! * [`lints`] — the **L001–L008** workspace lints, rewritten over the
-//!   shared token stream (the old line scanner is retired).
-//! * [`allow`] — the burn-down allowlist contract both lint families use.
+//! * [`allow`] — the burn-down allowlist contract.
 //! * [`report`] — findings, human rendering, and the hand-rolled JSON
 //!   report.
 //! * [`workspace`] — file discovery and the `cargo run -p xtask --
-//!   analyze` / `-- lint` engines.
+//!   analyze` engine.
 //!
 //! See DESIGN.md ("Static analysis") for the S-code catalogue, the call
 //! graph's documented imprecision, and the snapshot review workflow.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allow;
@@ -49,7 +47,6 @@ pub mod concurrency;
 pub mod guardcov;
 pub mod hotloop;
 pub mod lexer;
-pub mod lints;
 pub mod panics;
 pub mod parser;
 pub mod report;
@@ -60,6 +57,5 @@ pub use allow::{judge, parse_allowlist, render_allowlist, Verdict};
 pub use concurrency::LockModel;
 pub use report::{render_json, Finding};
 pub use workspace::{
-    run_analysis, run_analysis_threads, run_l_lints, write_api_snapshots, Analysis, Workspace,
-    API_DIR,
+    run_analysis, run_analysis_threads, write_api_snapshots, Analysis, Workspace, API_DIR,
 };

@@ -132,8 +132,6 @@ pub struct FileModel {
     pub lexed: Lexed,
     /// Indices into `lexed.tokens` of the significant (non-comment) tokens.
     pub sig: Vec<usize>,
-    /// The masked source (see [`Lexed::masked`]).
-    pub masked: String,
     /// Per-line `cfg(test)` flags.
     pub test_lines: Vec<bool>,
     /// Recovered functions, in source order.
@@ -160,8 +158,7 @@ impl FileModel {
     /// Lexes and recovers structure from one file.
     pub fn build(rel: &str, source: &str) -> FileModel {
         let lexed = lex(source);
-        let masked = lexed.masked();
-        let test_lines = test_line_mask(&masked);
+        let test_lines = test_line_mask(&lexed.masked());
         let sig: Vec<usize> = lexed
             .tokens
             .iter()
@@ -185,7 +182,6 @@ impl FileModel {
             rel: rel.to_string(),
             lexed,
             sig,
-            masked,
             test_lines,
             fns: Vec::new(),
             loops: Vec::new(),

@@ -1,5 +1,5 @@
 //! Workspace orchestration: file discovery under `crates/*/src`, the
-//! combined `S0xx` analysis, the `L0xx` lints, and API snapshot I/O.
+//! combined `S0xx` analysis, and API snapshot I/O.
 
 use std::fs;
 use std::io;
@@ -10,7 +10,6 @@ use crate::arena::arena_discipline;
 use crate::concurrency::{concurrency_discipline, LockModel};
 use crate::guardcov::guard_coverage;
 use crate::hotloop::hot_loop_lints;
-use crate::lints::lint_file;
 use crate::panics::panic_reachability;
 use crate::parser::FileModel;
 use crate::report::Finding;
@@ -113,19 +112,9 @@ pub fn load_workspace_threads(repo_root: &Path, threads: usize) -> io::Result<Wo
     })
 }
 
-/// Runs the `L0xx` lints over the workspace (the `xtask lint` engine).
-pub fn run_l_lints(repo_root: &Path) -> io::Result<Vec<Finding>> {
-    let ws = load_workspace(repo_root)?;
-    let mut findings = Vec::new();
-    for model in &ws.files {
-        lint_file(model, &mut findings);
-    }
-    Ok(findings)
-}
-
 /// The result of the `S0xx` analysis.
 pub struct Analysis {
-    /// All findings (panic reachability, hot loops, API surface).
+    /// All findings, from every pass.
     pub findings: Vec<Finding>,
     /// Sites suppressed by inline `analyze: allow(…)` annotations.
     pub waived: usize,
@@ -137,9 +126,9 @@ pub struct Analysis {
 }
 
 /// Runs the full `S0xx` analysis: panic reachability (S001–S004),
-/// hot-loop discipline (S010/S011), API snapshot checks (S020/S021),
-/// guard coverage (S030/S031), arena discipline (S040–S042), and
-/// concurrency discipline (S050–S055).
+/// hot-loop discipline (S010/S011), API snapshot checks and diff entry
+/// points (S020–S022), guard coverage (S030/S031), arena discipline
+/// (S040–S043), and concurrency discipline (S050–S055).
 pub fn run_analysis(repo_root: &Path) -> io::Result<Analysis> {
     run_analysis_threads(repo_root, 1)
 }
@@ -155,6 +144,7 @@ pub fn run_analysis_threads(repo_root: &Path, threads: usize) -> io::Result<Anal
     }
     guard_coverage(&ws.files, &graph, &mut findings, &mut waived);
     for model in &ws.files {
+        api::stray_entry_points(model, &mut findings, &mut waived);
         arena_discipline(model, &mut findings, &mut waived);
     }
     let started = std::time::Instant::now();

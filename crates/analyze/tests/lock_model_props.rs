@@ -11,6 +11,9 @@
 //! sinks, waivers) in a throwaway temp dir, then runs the extraction at
 //! 1, 2 and 4 threads and demands identical results.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

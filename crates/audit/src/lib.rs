@@ -34,7 +34,6 @@
 //! The `hierdiff-core` crate calls these at stage boundaries when
 //! `Differ::audit` is enabled (the default under debug assertions).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod delta_check;

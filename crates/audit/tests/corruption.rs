@@ -5,6 +5,9 @@
 //! same route a damaged artifact would take arriving from disk or the
 //! network).
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hierdiff_audit::{
     audit_delta, audit_matching, audit_pairs, audit_prune, audit_script, audit_tree, Code, Side,
 };

@@ -6,6 +6,9 @@
 //! must flag every injected violation *and* stay silent on honest output,
 //! or they would be either useless or unusable as a default-on gate.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hierdiff_core::{Audit, Differ};
 use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};
 use proptest::prelude::*;
@@ -45,7 +48,7 @@ fn figure4_example_audits_clean() {
 fn workload_document_audits_clean() {
     // A ~2k-node document through the full audited pipeline, pruned and
     // unpruned. (The 10k-node + overhead measurement lives in the release
-    // bench `audit_overhead`; this keeps the tier-1 suite fast.)
+    // bench `overhead_gate`; this keeps the tier-1 suite fast.)
     let profile = DocProfile {
         sections: 90,
         ..DocProfile::default()

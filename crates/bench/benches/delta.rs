@@ -2,6 +2,9 @@
 //! diff, both renderers, the query API, and script extraction, across
 //! document sizes.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_delta::{build_delta_tree, extract_script, render_text, ChangeKind};
 use hierdiff_doc::render_html;

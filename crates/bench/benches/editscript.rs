@@ -1,6 +1,9 @@
 //! E6 bench: Algorithm EditScript's O(ND) behaviour — time vs the number of
 //! misaligned nodes D at fixed N (Theorem C.2).
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_edit::edit_script;
 use hierdiff_matching::{fast_match, MatchParams};

@@ -3,6 +3,9 @@
 //! size (the paper's "running time proportional to ... the number of
 //! changes" claim).
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_matching::{fast_match, MatchParams};
 use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};

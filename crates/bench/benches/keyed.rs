@@ -2,6 +2,9 @@
 //! unique identifiers" fast path quantified — key lookup is O(n) with no
 //! compare calls at all.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_doc::DocValue;
 use hierdiff_matching::{fast_match, match_by_key, match_keyed_then_content, MatchParams};

@@ -1,10 +1,10 @@
-//! Ablation bench: Myers O(ND) vs quadratic DP vs Hirschberg, across input
-//! similarity — justifying the paper's choice of [Mye86] for near-identical
-//! sequences (FastMatch chains, child alignment) and our use of DP for
-//! short word sequences (sentence compare).
+//! Ablation bench: Myers O(ND) vs quadratic DP, across input similarity —
+//! justifying the paper's choice of [Mye86] for near-identical sequences
+//! (FastMatch chains, child alignment) and our use of DP for short word
+//! sequences (sentence compare).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hierdiff_lcs::{lcs_dp, lcs_hirschberg, lcs_myers};
+use hierdiff_lcs::{lcs_dp, lcs_myers};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Builds two sequences of length `n` differing in `edits` random
@@ -29,9 +29,6 @@ fn bench_similarity_sweep(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("dp", edits), &edits, |bench, _| {
             bench.iter(|| lcs_dp(&a, &b, |x, y| x == y).len())
-        });
-        g.bench_with_input(BenchmarkId::new("hirschberg", edits), &edits, |bench, _| {
-            bench.iter(|| lcs_hirschberg(&a, &b, |x, y| x == y).len())
         });
     }
     g.finish();

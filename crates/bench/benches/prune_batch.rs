@@ -9,6 +9,9 @@
 //!    replaced, on a skewed batch (a few huge pairs among many small ones)
 //!    where static assignment strands the heavy work on one thread.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_core::Differ;
 use hierdiff_doc::DocValue;

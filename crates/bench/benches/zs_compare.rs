@@ -2,6 +2,9 @@
 //! (O(ne + e²)) vs Zhang–Shasha (O(n² log² n)). The crossover and the
 //! growth-rate gap are the paper's headline positioning claim.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_edit::edit_script;
 use hierdiff_matching::{fast_match, MatchParams};

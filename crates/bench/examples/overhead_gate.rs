@@ -1,0 +1,235 @@
+//! The release overhead gates. All three time one ~10k-node workload diff
+//! (430 generated sections, 200 revision edits) and share one min-of-N
+//! helper:
+//!
+//! | gate | candidate | baseline | margin |
+//! |------|-----------|----------|--------|
+//! | `audit` | invariant auditing on | auditing off | < 10% |
+//! | `observer` | `Differ`, no observer attached | direct FastMatch → EditScript → delta calls | ≤ 2% |
+//! | `guard` | `Differ` with budgets and a cancel token, sized never to trip | ungoverned `Differ` | ≤ 2% |
+//!
+//! Each gate first asserts correctness: the audit report is clean, the
+//! facade's script equals the direct stages', and governance neither
+//! changes nor degrades the diff. The observer gate also prints the fully
+//! profiled configuration (recorder attached) for reference; it may cost
+//! more, since it buys per-phase timings and counter export.
+//!
+//! Run in release (`cargo run --release -p hierdiff-bench --example
+//! overhead_gate`); debug timings are dominated by unoptimized string
+//! comparison noise and are not meaningful. Every gate runs and reports;
+//! the process exits non-zero if any one exceeds its margin in every
+//! retry round.
+
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
+
+use hierdiff_core::{Audit, Budgets, CancelToken, Differ};
+use hierdiff_delta::build_delta_tree;
+use hierdiff_doc::DocValue;
+use hierdiff_edit::edit_script;
+use hierdiff_matching::{fast_match, MatchParams};
+use hierdiff_tree::Tree;
+use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};
+
+const ROUNDS: usize = 3;
+const RUNS_PER_ROUND: usize = 4;
+
+type Doc = Tree<DocValue>;
+
+/// One timed configuration: its name in the report and the diff it runs.
+type Config<'a> = (&'a str, Box<dyn FnMut() + 'a>);
+
+/// Min-of-N timing. Runs `configs` interleaved, `RUNS_PER_ROUND` times a
+/// round, keeping each one's fastest run. `configs[0]` is the baseline and
+/// `configs[1]` the gated candidate; later entries are informational.
+/// Returns the candidate's lowest overhead over the baseline across up to
+/// `ROUNDS` rounds, stopping early once it is within `max` (the retry
+/// absorbs scheduler noise on shared machines).
+fn min_of_n(max: f64, configs: &mut [Config<'_>]) -> f64 {
+    let mut best_ratio = f64::MAX;
+    for round in 1..=ROUNDS {
+        let mut best = vec![f64::MAX; configs.len()];
+        for _ in 0..RUNS_PER_ROUND {
+            for (slot, (_, run)) in configs.iter_mut().enumerate() {
+                let start = Instant::now();
+                run();
+                best[slot] = best[slot].min(start.elapsed().as_secs_f64());
+            }
+        }
+        let mut line = format!("  round {round}: {} {:.4}s", configs[0].0, best[0]);
+        for (slot, (name, _)) in configs.iter().enumerate().skip(1) {
+            let ratio = best[slot] / best[0] - 1.0;
+            line.push_str(&format!(
+                ", {name} {:.4}s ({:+.2}%)",
+                best[slot],
+                ratio * 100.0
+            ));
+        }
+        println!("{line}");
+        best_ratio = best_ratio.min(best[1] / best[0] - 1.0);
+        if best_ratio <= max {
+            break;
+        }
+    }
+    best_ratio
+}
+
+/// A timed `Differ` configuration, asserting each run produces a script.
+fn facade<'a>(
+    t1: &'a Doc,
+    t2: &'a Doc,
+    differ: impl Fn() -> Differ<'static> + 'a,
+) -> impl FnMut() + 'a {
+    move || {
+        let r = differ().diff(t1, t2).expect("diff");
+        assert!(!r.script.is_empty());
+    }
+}
+
+/// Audit gate: the audited run is clean, and auditing costs < 10%.
+fn audit_gate(t1: &Doc, t2: &Doc, max: f64) -> f64 {
+    let audited = Differ::new()
+        .audit(Audit::On)
+        .diff(t1, t2)
+        .expect("audited 10k-node diff must not report invariant errors");
+    let report = audited.audit.expect("audit was requested");
+    assert!(report.is_clean(), "audit found issues:\n{report}");
+    println!(
+        "  {} checks over {} ops, 0 findings",
+        report.checks_run,
+        audited.script.len()
+    );
+    min_of_n(
+        max,
+        &mut [
+            (
+                "plain",
+                Box::new(facade(t1, t2, || Differ::new().audit(Audit::Off))),
+            ),
+            (
+                "audited",
+                Box::new(facade(t1, t2, || Differ::new().audit(Audit::On))),
+            ),
+        ],
+    )
+}
+
+/// Observer gate: with no observer attached, the facade costs ≤ 2% over
+/// calling the stages directly, and produces the same script.
+fn observer_gate(t1: &Doc, t2: &Doc, max: f64) -> f64 {
+    let plain = Differ::new()
+        .audit(Audit::Off)
+        .diff(t1, t2)
+        .expect("10k-node diff succeeds");
+    let matched = fast_match(t1, t2, MatchParams::default()).expect("ungoverned matcher");
+    let direct = edit_script(t1, t2, &matched.matching).expect("baseline MCES");
+    assert_eq!(plain.script, direct.script, "facade diverged from stages");
+    let stages = || {
+        let m = fast_match(t1, t2, MatchParams::default()).expect("ungoverned matcher");
+        let r = edit_script(t1, t2, &m.matching).expect("baseline MCES");
+        assert!(!build_delta_tree(t1, t2, &m.matching, &r).is_empty());
+    };
+    let profiled = || {
+        let r = Differ::new()
+            .audit(Audit::Off)
+            .profile(true)
+            .diff(t1, t2)
+            .expect("profiled diff");
+        assert!(r.profile.expect("profile requested").total_nanos() > 0);
+    };
+    min_of_n(
+        max,
+        &mut [
+            ("direct", Box::new(stages)),
+            (
+                "no-observer",
+                Box::new(facade(t1, t2, || Differ::new().audit(Audit::Off))),
+            ),
+            ("profiled", Box::new(profiled)),
+        ],
+    )
+}
+
+/// Guard gate: budgets and a cancel token that never trip cost ≤ 2% and
+/// leave the diff unchanged and undegraded.
+fn guard_gate(t1: &Doc, t2: &Doc, max: f64) -> f64 {
+    // Orders of magnitude above what the workload needs, so the governed
+    // run does all checks but no budget ever fires.
+    let budgets = Budgets::unlimited()
+        .with_max_nodes(10_000_000)
+        .with_max_lcs_cells(u64::MAX / 2)
+        .with_max_wall_time(Duration::from_secs(3600))
+        .with_max_memory_estimate(usize::MAX / 2);
+    let token = CancelToken::new();
+    let governed = move || {
+        Differ::new()
+            .audit(Audit::Off)
+            .budget(budgets)
+            .cancel(&token)
+    };
+    let plain = Differ::new()
+        .audit(Audit::Off)
+        .diff(t1, t2)
+        .expect("10k-node diff succeeds");
+    let checked = governed().diff(t1, t2).expect("governed diff succeeds");
+    assert_eq!(plain.script, checked.script, "governance changed the diff");
+    assert!(
+        !checked.degraded.any(),
+        "unlimited budgets must not degrade"
+    );
+    min_of_n(
+        max,
+        &mut [
+            (
+                "ungoverned",
+                Box::new(facade(t1, t2, || Differ::new().audit(Audit::Off))),
+            ),
+            ("governed", Box::new(facade(t1, t2, governed))),
+        ],
+    )
+}
+
+/// A gate: checks correctness, then returns its measured overhead.
+type Gate = fn(&Doc, &Doc, f64) -> f64;
+
+/// Each gate with its margin: `(name, max overhead, gate)`.
+const GATES: &[(&str, f64, Gate)] = &[
+    ("audit", 0.10, audit_gate),
+    ("observer", 0.02, observer_gate),
+    ("guard", 0.02, guard_gate),
+];
+
+fn main() -> ExitCode {
+    let profile = DocProfile {
+        sections: 430,
+        ..DocProfile::default()
+    };
+    let t1 = generate_document(42, &profile);
+    let (t2, _) = perturb(&t1, 7, 200, &EditMix::revision(), &profile);
+    println!("workload: {} -> {} nodes", t1.len(), t2.len());
+
+    let mut failed = Vec::new();
+    for &(name, max, gate) in GATES {
+        println!("{name} gate:");
+        let overhead = gate(&t1, &t2, max);
+        let ok = overhead <= max;
+        println!(
+            "  {name}: overhead {:+.2}% (margin {:.0}%) — {}",
+            overhead * 100.0,
+            max * 100.0,
+            if ok { "pass" } else { "FAIL in every round" }
+        );
+        if !ok {
+            failed.push(name);
+        }
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        println!("overhead gate failed: {}", failed.join(", "));
+        ExitCode::FAILURE
+    }
+}

@@ -6,8 +6,6 @@
 //!              editscript-scaling|postprocess|align-ablation]...
 //! ```
 
-#![forbid(unsafe_code)]
-
 use hierdiff_bench::experiments as exp;
 
 fn main() {

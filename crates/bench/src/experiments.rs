@@ -227,6 +227,7 @@ Let's keep the name TeX for the language described here, since it is so much bet
 pub fn table2() -> String {
     let mut out =
         String::from("## E4 — Table 2 / Appendix A: LaDiff mark-up conventions on the sample\n\n");
+    #[expect(clippy::expect_used, reason = "the bundled sample is valid LaTeX")]
     let result = ladiff(SAMPLE_OLD, SAMPLE_NEW, &LaDiffOptions::default())
         .expect("sample documents diff cleanly");
     let mk = &result.markup;
@@ -340,6 +341,7 @@ pub fn zs_compare() -> String {
 
             let t_start = Instant::now();
             let matched = must(fast_match(&t1, &t2, MatchParams::default()));
+            #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
             let res = edit_script(&t1, &t2, &matched.matching).expect("live matching");
             chawathe_times.push(t_start.elapsed().as_secs_f64());
 
@@ -347,12 +349,14 @@ pub fn zs_compare() -> String {
             zs_dists.push(tree_distance(&t1, &t2, &UnitCost));
             zs_times.push(z_start.elapsed().as_secs_f64());
 
+            #[expect(clippy::expect_used, reason = "scripts replay on their source tree")]
             costs.push(
                 res.cost_on(&t1, &CostModel::paper())
                     .expect("generated script replays"),
             );
         }
         let median = |v: &mut Vec<f64>| -> f64 {
+            #[expect(clippy::expect_used, reason = "elapsed times are never NaN")]
             v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
             v[v.len() / 2]
         };
@@ -407,10 +411,13 @@ pub fn editscript_scaling() -> String {
         let mut res = None;
         for _ in 0..9 {
             let start = Instant::now();
-            res = Some(edit_script(&t1, &t2, &matched.matching).expect("live matching"));
+            #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
+            let run = edit_script(&t1, &t2, &matched.matching).expect("live matching");
+            res = Some(run);
             times.push(start.elapsed());
         }
         times.sort();
+        #[expect(clippy::expect_used, reason = "the loop above runs nine times")]
         let res = res.expect("at least one run");
         table.row(&[
             n(moves),
@@ -444,6 +451,7 @@ pub fn editscript_scaling() -> String {
         );
         let matched = must(fast_match(&base, &t2, MatchParams::default()));
         let start = Instant::now();
+        #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
         let res = edit_script(&base, &t2, &matched.matching).expect("live matching");
         let dt = start.elapsed();
         flat.row(&[n(k), n(res.stats.intra_moves), f2(dt.as_secs_f64() * 1e3)]);
@@ -484,12 +492,16 @@ pub fn postprocess_experiment() -> String {
         let (t2, _) = perturb(&t1, 12_100 + seed, 10, &EditMix::default(), &profile);
         let c3 = check_criterion3(&t1, &t2);
         let matched = must(fast_match(&t1, &t2, MatchParams::default()));
+        #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
         let before = edit_script(&t1, &t2, &matched.matching).expect("live matching");
+        #[expect(clippy::unwrap_used, reason = "scripts replay on their source tree")]
         let cost_before = before.cost_on(&t1, &CostModel::paper()).unwrap();
 
         let mut m2 = matched.matching.clone();
         let rematched = must(postprocess(&t1, &t2, MatchParams::default(), &mut m2));
+        #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
         let after = edit_script(&t1, &t2, &m2).expect("live matching");
+        #[expect(clippy::unwrap_used, reason = "scripts replay on their source tree")]
         let cost_after = after.cost_on(&t1, &CostModel::paper()).unwrap();
 
         let zs = tree_distance(&t1, &t2, &UnitCost);
@@ -617,6 +629,7 @@ pub fn ak_sweep() -> String {
                 let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
                 for (x, y) in zs.iter() {
                     if t1.label(x) == t2.label(y) {
+                        #[expect(clippy::expect_used, reason = "a ZS mapping is one-to-one")]
                         m.insert(x, y).expect("one-to-one");
                     }
                 }
@@ -635,8 +648,11 @@ pub fn ak_sweep() -> String {
             let start = Instant::now();
             let h = must(match_with_optimality(t1, t2, MatchParams::default(), k));
             time_sum += start.elapsed().as_secs_f64() * 1e6;
+            #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
             let res = edit_script(t1, t2, &h.matching).expect("live matching");
-            cost_sum += res.cost_on(t1, &CostModel::paper()).expect("replays");
+            #[expect(clippy::expect_used, reason = "scripts replay on their source tree")]
+            let cost = res.cost_on(t1, &CostModel::paper()).expect("replays");
+            cost_sum += cost;
             matched_sum += h.matching.len();
             let q = match_quality(&h.matching, zs_ref);
             prec_sum += q.precision();
@@ -677,6 +693,7 @@ pub fn align_ablation() -> String {
             &profile,
         );
         let matched = must(fast_match(&t1, &t2, MatchParams::default()));
+        #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
         let res = edit_script(&t1, &t2, &matched.matching).expect("live matching");
         let lcs_moves = res.stats.intra_moves;
         let greedy = greedy_alignment_moves(&t1, &t2, &matched.matching);
@@ -834,6 +851,7 @@ pub fn batch_schedule() -> String {
     }
     // Static baseline: per-worker busy time under `i % workers` pinning.
     let t0 = Instant::now();
+    #[expect(clippy::unwrap_used, reason = "ungoverned diffs cannot fail")]
     let static_busy: Vec<Duration> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -857,6 +875,7 @@ pub fn batch_schedule() -> String {
         .delta(false)
         .workers(workers)
         .diff_batch_with(&pairs, |_, r| {
+            #[expect(clippy::unwrap_used, reason = "ungoverned diffs cannot fail")]
             let _ = r.unwrap();
         });
 

@@ -4,7 +4,6 @@
 //! (the `experiments` binary) and the Criterion benchmarks. See DESIGN.md's
 //! experiment index (E1–E7) and EXPERIMENTS.md for the results.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

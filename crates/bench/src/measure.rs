@@ -103,6 +103,7 @@ pub fn measure_pair(
     let match_time = t_match.elapsed();
 
     let t_script = Instant::now();
+    #[expect(clippy::expect_used, reason = "matchers pair live nodes only")]
     let res = edit_script(t1, t2, &matched.matching).expect("live matching");
     let script_time = t_script.elapsed();
 
@@ -121,20 +122,21 @@ pub fn measure_pair(
 }
 
 /// Measures every `(i, j)` version pair of a chain concurrently (one
-/// thread per pair via crossbeam's scoped threads — measurements are
-/// independent and read-only). Results come back in `pairs` order.
+/// scoped thread per pair — measurements are independent and read-only).
+/// Results come back in `pairs` order.
+#[expect(clippy::expect_used, reason = "re-raises a worker's panic")]
 pub fn measure_pairs_parallel(
     versions: &[Tree<DocValue>],
     pairs: &[(usize, usize)],
     params: MatchParams,
     which: WhichMatcher,
 ) -> Vec<PairMeasurement> {
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = pairs
             .iter()
             .map(|&(i, j)| {
                 let (a, b) = (&versions[i], &versions[j]);
-                scope.spawn(move |_| measure_pair(a, b, params, which))
+                scope.spawn(move || measure_pair(a, b, params, which))
             })
             .collect();
         handles
@@ -142,7 +144,6 @@ pub fn measure_pairs_parallel(
             .map(|h| h.join().expect("measurement thread panicked"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 /// Ordinary least squares fit `y ≈ a + b·x`; returns `(a, b, r²)`.

@@ -28,8 +28,6 @@
 //! and prints every `A0xx` finding; it exits non-zero when any finding has
 //! `Error` severity.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 use hierdiff_core::{

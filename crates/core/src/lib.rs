@@ -54,7 +54,6 @@
 //! the `hierdiff-doc` crate's `ladiff` pipeline, which layers parsing and
 //! Table 2 markup on top of this API.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;

@@ -1,5 +1,8 @@
 //! End-to-end tests of the `treediff` binary.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io::Write as _;
 use std::process::Command;
 

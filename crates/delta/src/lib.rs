@@ -23,7 +23,6 @@
 //! and [`DeltaTree::project_old`] (drop `INS`, return moved subtrees to
 //! their markers, restore old values) reproduces `T1`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod build;

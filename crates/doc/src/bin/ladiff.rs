@@ -24,8 +24,6 @@
 //! Exit codes: 0 success, 1 usage/parse/pipeline error (malformed markup
 //! prints a one-line diagnostic), 4 budget exhausted or cancelled.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 use std::time::Duration;
 

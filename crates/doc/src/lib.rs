@@ -26,7 +26,6 @@
 //! assert_eq!(out.stats.ops.deletes, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -18,6 +18,9 @@
 //!   exercises sentence moved to the end and reworded (S2 label +
 //!   footnote).
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hierdiff_doc::{ladiff, render_html, Engine, LaDiffOptions};
 use hierdiff_matching::MatchParams;
 

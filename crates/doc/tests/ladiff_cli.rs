@@ -1,6 +1,9 @@
 //! End-to-end tests of the `ladiff` binary (invoked as a real process via
 //! the `CARGO_BIN_EXE_ladiff` path Cargo provides to integration tests).
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io::Write as _;
 use std::process::Command;
 

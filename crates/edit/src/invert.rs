@@ -43,7 +43,9 @@ pub fn invert_script<V: NodeValue>(
             }
             EditOp::Delete { node } => {
                 let node = ctx.resolve(*node);
+                #[expect(clippy::expect_used, reason = "scripts never delete or move root")]
                 let parent = t.parent(node).expect("DEL target is a non-root leaf");
+                #[expect(clippy::expect_used, reason = "scripts never delete or move root")]
                 let pos = t.position(node).expect("non-root");
                 inverse.push(EditOp::Insert {
                     node,
@@ -62,12 +64,14 @@ pub fn invert_script<V: NodeValue>(
             }
             EditOp::Move { node, .. } => {
                 let node = ctx.resolve(*node);
+                #[expect(clippy::expect_used, reason = "scripts never delete or move root")]
                 let parent = t.parent(node).expect("MOV target is non-root");
                 // `position` is measured with the node in place, but since
                 // the node itself never counts among the *other* children,
                 // it equals the post-detach insertion index the inverse
                 // move needs — for intra-parent and inter-parent moves
                 // alike.
+                #[expect(clippy::expect_used, reason = "scripts never delete or move root")]
                 let pos = t.position(node).expect("non-root");
                 inverse.push(EditOp::Move { node, parent, pos });
             }

@@ -32,7 +32,6 @@
 //! assert_eq!(result.script.len(), 1); // one intra-parent move
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod apply;

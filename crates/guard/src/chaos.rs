@@ -267,6 +267,7 @@ impl ChaosObserver {
             }
             match &inj.fault {
                 Fault::Panic => {
+                    #[expect(clippy::panic, reason = "the injected fault is a typed panic")]
                     std::panic::panic_any(ChaosPanic { phase, boundary });
                 }
                 Fault::Delay(d) => std::thread::sleep(*d),
@@ -295,7 +296,10 @@ impl ChaosObserver {
     /// [`ServeChaosPanic`], sleeps, or fires the cancel token.
     pub fn execute_serve(boundary: ServeBoundary, fault: &Fault) {
         match fault {
-            Fault::Panic => std::panic::panic_any(ServeChaosPanic { boundary }),
+            Fault::Panic => {
+                #[expect(clippy::panic, reason = "the injected fault is a typed panic")]
+                std::panic::panic_any(ServeChaosPanic { boundary });
+            }
             Fault::Delay(d) => std::thread::sleep(*d),
             Fault::Cancel(token) => token.cancel(),
         }

@@ -31,7 +31,6 @@
 //! assert_eq!(guard.checkpoint(), Err(GuardError::Cancelled));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;

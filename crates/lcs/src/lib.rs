@@ -17,8 +17,7 @@
 //! to equality comparisons" — hence every algorithm here needs only an
 //! equality predicate.
 //!
-//! Three interchangeable implementations are provided and cross-checked by
-//! property tests:
+//! Two implementations are provided and cross-checked by property tests:
 //!
 //! * [`lcs_myers`] — Myers' O(ND) greedy algorithm \[Mye86\], the one the
 //!   paper uses (`N = |S1| + |S2|`, `D = N − 2|LCS|`). Fast when the
@@ -26,20 +25,15 @@
 //! * [`lcs_dp`] — the classic O(N·M) dynamic program. Simple, predictable;
 //!   the oracle for tests and the right choice for short, dissimilar
 //!   sequences (e.g. sentence words).
-//! * [`lcs_hirschberg`] — linear-space divide-and-conquer DP, for very long
-//!   sequences where the quadratic table would not fit.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod diffops;
 mod dp;
-mod hirschberg;
 mod myers;
 
 pub use diffops::{sequence_diff, SeqEdit};
 pub use dp::lcs_dp;
-pub use hirschberg::lcs_hirschberg;
 pub use myers::{lcs_myers, lcs_myers_counted, lcs_myers_guarded};
 
 /// A pair of indices `(i, j)` meaning `S1[i]` is matched with `S2[j]` in the
@@ -91,18 +85,6 @@ pub fn lcs_counted_guarded<T, U>(
     lcs_myers_guarded(a, b, equal, stats, guard)
 }
 
-/// Which implementation [`lcs_with`] dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LcsAlgorithm {
-    /// Myers O(ND) (the paper's choice).
-    #[default]
-    Myers,
-    /// Quadratic dynamic programming.
-    Dp,
-    /// Hirschberg linear-space DP.
-    Hirschberg,
-}
-
 /// The paper's `LCS(S1, S2, equal)` procedure: returns the index pairs of a
 /// longest common subsequence of `a` and `b` under `equal`, in increasing
 /// order of both coordinates.
@@ -115,21 +97,6 @@ pub enum LcsAlgorithm {
 /// ```
 pub fn lcs<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
     lcs_myers(a, b, equal)
-}
-
-/// Like [`lcs`] but with an explicit algorithm choice (used by the ablation
-/// benchmarks).
-pub fn lcs_with<T, U>(
-    algorithm: LcsAlgorithm,
-    a: &[T],
-    b: &[U],
-    equal: impl FnMut(&T, &U) -> bool,
-) -> Vec<Pair> {
-    match algorithm {
-        LcsAlgorithm::Myers => lcs_myers(a, b, equal),
-        LcsAlgorithm::Dp => lcs_dp(a, b, equal),
-        LcsAlgorithm::Hirschberg => lcs_hirschberg(a, b, equal),
-    }
 }
 
 /// `|LCS(S1, S2)|` without materializing the pairs.
@@ -170,21 +137,6 @@ mod tests {
         let a = ['a', 'b', 'c'];
         let b = ['b', 'c', 'd'];
         assert_eq!(lcs(&a, &b, |x, y| x == y), lcs_myers(&a, &b, |x, y| x == y));
-    }
-
-    #[test]
-    fn lcs_with_dispatches_all() {
-        let a = [1, 3, 5, 7];
-        let b = [1, 5, 7, 9];
-        for alg in [
-            LcsAlgorithm::Myers,
-            LcsAlgorithm::Dp,
-            LcsAlgorithm::Hirschberg,
-        ] {
-            let pairs = lcs_with(alg, &a, &b, |x, y| x == y);
-            assert_eq!(pairs.len(), 3, "{alg:?}");
-            assert!(is_common_subsequence(&pairs, &a, &b, |x, y| x == y));
-        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! and in child alignment — run in near-linear time.
 //!
 //! The backtracking trace stores the frontier of each round, so memory is
-//! O(D²). For pathologically dissimilar long sequences prefer
-//! [`crate::lcs_hirschberg`], which is O(min(|a|,|b|)) space.
+//! O(D²), like the cell count. Governed callers bound both for
+//! pathologically dissimilar long sequences through the guard's
+//! `max_lcs_cells` budget ([`lcs_myers_guarded`]).
 
 use hierdiff_guard::{Guard, GuardError};
 

@@ -31,7 +31,6 @@
 //! assert_eq!(result.script.len(), 1); // the two paragraphs swapped: one move
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bound;

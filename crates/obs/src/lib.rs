@@ -35,7 +35,6 @@
 //! assert_eq!(profile.counter("leaf_compares"), 42);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Instant;

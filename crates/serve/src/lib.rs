@@ -44,7 +44,6 @@
 //! assert_eq!(response.retried, 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

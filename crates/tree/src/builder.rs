@@ -40,6 +40,7 @@ impl<V: NodeValue> TreeBuilder<V> {
     }
 
     /// The node new children are currently appended to.
+    #[expect(clippy::expect_used, reason = "the root is never popped")]
     pub fn current(&self) -> NodeId {
         *self.cursor.last().expect("cursor never empty")
     }

@@ -42,6 +42,7 @@ impl Hasher for FpHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
+            #[expect(clippy::expect_used, reason = "chunks_exact(8) yields 8-byte slices")]
             self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let mut tail = bytes.len() as u64;

@@ -84,7 +84,7 @@ impl<'a> Parser<'a> {
         self.src.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), SexprError> {
+    fn eat(&mut self, b: u8) -> Result<(), SexprError> {
         match self.peek() {
             Some(c) if c == b => {
                 self.pos += 1;
@@ -115,13 +115,14 @@ impl<'a> Parser<'a> {
                 None => Err(SexprError::UnexpectedEof),
             };
         }
+        #[expect(clippy::expect_used, reason = "labels end at an ASCII delimiter")]
         let s = std::str::from_utf8(&self.src[start..self.pos])
             .expect("label bytes validated as ASCII-safe boundaries");
         Ok(Label::intern(s))
     }
 
     fn string(&mut self) -> Result<String, SexprError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -162,6 +163,7 @@ impl<'a> Parser<'a> {
                             found: '\u{FFFD}',
                         }
                     })?;
+                    #[expect(clippy::expect_used, reason = "peek() just saw a byte")]
                     let ch = rest.chars().next().expect("non-empty rest");
                     out.push(ch);
                     self.pos += ch.len_utf8();
@@ -171,7 +173,7 @@ impl<'a> Parser<'a> {
     }
 
     fn node(&mut self, tree: &mut Tree<String>, parent: Option<NodeId>) -> Result<(), SexprError> {
-        self.expect(b'(')?;
+        self.eat(b'(')?;
         self.skip_ws();
         let label = self.label()?;
         let id = match parent {
@@ -206,6 +208,7 @@ impl<'a> Parser<'a> {
                     let at = self.pos;
                     let v = self.string()?;
                     let _ = at;
+                    #[expect(clippy::expect_used, reason = "`id` was just created")]
                     tree.update(id, v).expect("node just created");
                     has_value = true;
                 }

@@ -13,7 +13,6 @@
 //! paragraph / section granularity. A [`DocSet`] is a version chain — the
 //! analogue of one of the paper's three document sets.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod docgen;

@@ -1,21 +1,19 @@
 //! Workspace automation tasks (`cargo run -p xtask -- <task>`).
 //!
-//! * `lint` — the `L0xx` source lints over `crates/*/src`, with a
-//!   checked-in burn-down allowlist at `crates/xtask/lint-allow.txt`.
 //! * `analyze` — the `S0xx` token-level analyzer: panic reachability from
 //!   the pipeline entrypoints, hot-loop and guard-coverage discipline,
-//!   arena discipline in `crates/tree`, and public-API surface snapshots
-//!   under `api/`, with its own allowlist at
+//!   arena discipline, concurrency discipline, and public-API surface
+//!   snapshots under `api/`, with a burn-down allowlist at
 //!   `crates/xtask/analyze-allow.txt`.
-//! * `ratchet` — ceilings over both allowlists (total and per code) in
-//!   `crates/xtask/ratchet.txt`; the burn-down lists may only shrink.
+//! * `ratchet` — ceilings over that allowlist (total and per code) in
+//!   `crates/xtask/ratchet.txt`; the burn-down list may only shrink.
 //!
-//! Both engines live in `hierdiff-analyze`; this binary is argument
-//! parsing and file I/O. See DESIGN.md ("Diagnostics & static analysis")
-//! for how the `L0xx`/`S0xx` codes relate to the runtime `A0xx` audit
-//! codes.
-
-#![forbid(unsafe_code)]
+//! The engine lives in `hierdiff-analyze`; this binary is argument
+//! parsing and file I/O. The unwrap/expect/panic/todo and `unsafe` policy
+//! is not here: rustc and clippy enforce it through the root manifest's
+//! `[workspace.lints]`, and a unit test below keeps every crate opted in.
+//! See DESIGN.md ("Diagnostics & static analysis") for how the `S0xx`
+//! codes relate to the runtime `A0xx` audit codes.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -25,24 +23,21 @@ use hierdiff_analyze as analyze;
 
 const USAGE: &str = "usage: cargo run -p xtask -- <task>\n\
 \n\
-  lint                 run the L0xx source lints over crates/*/src and\n\
-                       compare against crates/xtask/lint-allow.txt; new\n\
-                       offences and stale allowlist entries both fail\n\
-  lint --write-allowlist   rewrite the allowlist from the current findings\n\
-                           (for intentional burn-down updates only)\n\
-  analyze              run the S0xx analyzer (panic reachability, hot-loop\n\
-                       discipline, API surface) and compare against\n\
-                       crates/xtask/analyze-allow.txt\n\
+  analyze              run the S0xx analyzer (panic reachability, hot loops,\n\
+                       guard coverage, arenas, concurrency, API surface)\n\
+                       and compare against crates/xtask/analyze-allow.txt;\n\
+                       new offences and stale allowlist entries both fail\n\
   analyze --json PATH      additionally write the JSON report to PATH\n\
   analyze --check-api      only check api/*.txt snapshots for drift\n\
   analyze --write-api      regenerate api/*.txt from the current sources\n\
-  analyze --write-allowlist    rewrite the analyzer allowlist\n\
+  analyze --write-allowlist    rewrite the allowlist from the current\n\
+                               findings (intentional burn-down only)\n\
   analyze --bench PATH     time the analyzer at 1/2/4 loader threads and\n\
                            write the medians (total and concurrency-pass\n\
                            wall time) to PATH as JSON\n\
   analyze --lock-graph PATH    write the serve/guard lock acquisition-order\n\
                                graph (S050) to PATH as Graphviz DOT\n\
-  ratchet              check both allowlists against the ceilings recorded\n\
+  ratchet              check the allowlist against the ceilings recorded\n\
                        in crates/xtask/ratchet.txt; growth and stale\n\
                        ceiling keys both fail\n\
   ratchet --write          record the current (smaller) counts as the new\n\
@@ -58,6 +53,9 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The analyzer's burn-down allowlist, relative to the repo root.
+const ALLOWLIST: &str = "crates/xtask/analyze-allow.txt";
+
 /// Loads an allowlist file, treating "not found" as empty.
 fn load_allowlist(
     path: &Path,
@@ -69,18 +67,13 @@ fn load_allowlist(
     }
 }
 
-/// Rewrites an allowlist from `findings`: drops any finding whose file is
+/// Rewrites the allowlist from `findings`: drops any finding whose file is
 /// no longer on disk (so a deleted module never re-records entries), and
 /// reports how many entries of the *previous* list pointed at dead files.
 /// Rendering sorts by the explicit `(path, line, code)` key, so the output
 /// is byte-for-byte deterministic.
-fn write_allowlist_file(
-    root: &Path,
-    rel: &str,
-    mut findings: Vec<analyze::Finding>,
-    header: &str,
-) -> Result<(), String> {
-    let path = root.join(rel);
+fn write_allowlist_file(root: &Path, mut findings: Vec<analyze::Finding>) -> Result<(), String> {
+    let path = root.join(ALLOWLIST);
     let prev = load_allowlist(&path)?;
     let dead: usize = prev
         .iter()
@@ -88,7 +81,12 @@ fn write_allowlist_file(
         .map(|(_, n)| *n)
         .sum();
     findings.retain(|f| root.join(&f.path).is_file());
-    let rendered = analyze::render_allowlist(&findings, header);
+    let rendered = analyze::render_allowlist(
+        &findings,
+        "Known S0xx offences, one `<path> <CODE>` line per offence.\n\
+         This list is a burn-down: entries may only be removed (fixing the\n\
+         offence), never added. Stale entries fail `cargo run -p xtask -- analyze`.",
+    );
     std::fs::write(&path, rendered).map_err(|e| format!("{}: {e}", path.display()))?;
     if dead > 0 {
         println!("stripped {dead} previous entries pointing at deleted files");
@@ -98,7 +96,7 @@ fn write_allowlist_file(
 }
 
 /// Prints a verdict and returns whether the run passes.
-fn report_verdict(task: &str, verdict: &analyze::Verdict, allowed_total: usize) -> bool {
+fn report_verdict(verdict: &analyze::Verdict, allowed_total: usize) -> bool {
     for f in &verdict.new_offences {
         println!("{f}");
     }
@@ -106,36 +104,13 @@ fn report_verdict(task: &str, verdict: &analyze::Verdict, allowed_total: usize) 
         println!("{path}: stale allowlist entry {code} (x{n}) — offence fixed, delete the line");
     }
     println!(
-        "{task}: {} finding(s), {} allowlisted, {} new, {} stale",
+        "analyze: {} finding(s), {} allowlisted, {} new, {} stale",
         verdict.total,
         allowed_total,
         verdict.new_offences.len(),
         verdict.stale.len()
     );
     verdict.ok()
-}
-
-fn run_lint(write: bool) -> Result<bool, String> {
-    let root = repo_root();
-    let findings = analyze::run_l_lints(&root).map_err(|e| format!("scanning sources: {e}"))?;
-    let allowlist_path = root.join("crates/xtask/lint-allow.txt");
-
-    if write {
-        write_allowlist_file(
-            &root,
-            "crates/xtask/lint-allow.txt",
-            findings,
-            "Known L0xx offences, one `<path> <CODE>` line per offence.\n\
-             This list is a burn-down: entries may only be removed (fixing the\n\
-             offence), never added. Stale entries fail `cargo run -p xtask -- lint`.",
-        )?;
-        return Ok(true);
-    }
-
-    let allowed = load_allowlist(&allowlist_path)?;
-    let allowed_total: usize = allowed.values().sum();
-    let verdict = analyze::judge(findings, &allowed);
-    Ok(report_verdict("lint", &verdict, allowed_total))
 }
 
 /// What `analyze` should do, parsed from its flags.
@@ -179,14 +154,7 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
         AnalyzeMode::WriteAllowlist => {
             let analysis =
                 analyze::run_analysis(&root).map_err(|e| format!("analyzing sources: {e}"))?;
-            write_allowlist_file(
-                &root,
-                "crates/xtask/analyze-allow.txt",
-                analysis.findings,
-                "Known S0xx offences, one `<path> <CODE>` line per offence.\n\
-                 This list is a burn-down: entries may only be removed (fixing the\n\
-                 offence), never added. Stale entries fail `cargo run -p xtask -- analyze`.",
-            )?;
+            write_allowlist_file(&root, analysis.findings)?;
             Ok(true)
         }
         AnalyzeMode::Bench { json } => {
@@ -242,8 +210,7 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
         AnalyzeMode::Check { json } => {
             let analysis =
                 analyze::run_analysis(&root).map_err(|e| format!("analyzing sources: {e}"))?;
-            let allowlist_path = root.join("crates/xtask/analyze-allow.txt");
-            let allowed = load_allowlist(&allowlist_path)?;
+            let allowed = load_allowlist(&root.join(ALLOWLIST))?;
             let allowed_total: usize = allowed.values().sum();
             if let Some(json_path) = json {
                 let rendered =
@@ -253,7 +220,7 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
                 println!("wrote JSON report to {}", json_path.display());
             }
             let verdict = analyze::judge(analysis.findings, &allowed);
-            let ok = report_verdict("analyze", &verdict, allowed_total);
+            let ok = report_verdict(&verdict, allowed_total);
             if analysis.waived > 0 {
                 println!("analyze: {} site(s) waived inline", analysis.waived);
             }
@@ -262,28 +229,24 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
     }
 }
 
-/// The allowlists governed by the ratchet, as `(key, path)` pairs.
-const RATCHET_LISTS: &[(&str, &str)] = &[
-    ("analyze-allow", "crates/xtask/analyze-allow.txt"),
-    ("lint-allow", "crates/xtask/lint-allow.txt"),
-];
+/// The allowlist's key in `ratchet.txt`.
+const RATCHET_KEY: &str = "analyze-allow";
 
 const RATCHET_FILE: &str = "crates/xtask/ratchet.txt";
 
-/// Current allowlist sizes keyed `<list>` (total) and `<list>:<CODE>`
-/// (per-code breakdown). Totals are always present, even at zero, so a
-/// fully burned-down list still gets a `0` ceiling on `--write`.
+/// Current allowlist size keyed `analyze-allow` (total) and
+/// `analyze-allow:<CODE>` (per-code breakdown). The total is always
+/// present, even at zero, so a fully burned-down list still gets a `0`
+/// ceiling on `--write`.
 fn ratchet_counts(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+    let allowed = load_allowlist(&root.join(ALLOWLIST))?;
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for (key, rel) in RATCHET_LISTS {
-        let allowed = load_allowlist(&root.join(rel))?;
-        let mut total = 0usize;
-        for ((_path, code), n) in &allowed {
-            total += n;
-            *counts.entry(format!("{key}:{code}")).or_insert(0) += n;
-        }
-        counts.insert((*key).to_string(), total);
+    let mut total = 0usize;
+    for ((_path, code), n) in &allowed {
+        total += n;
+        *counts.entry(format!("{RATCHET_KEY}:{code}")).or_insert(0) += n;
     }
+    counts.insert(RATCHET_KEY.to_string(), total);
     Ok(counts)
 }
 
@@ -309,9 +272,9 @@ fn parse_ratchet(text: &str) -> BTreeMap<String, usize> {
 
 fn render_ratchet(counts: &BTreeMap<String, usize>) -> String {
     let mut out = String::from(
-        "# Allowlist ratchet: ceilings on the burn-down allowlists, one total\n\
-         # per list plus per-code breakdowns. `cargo run -p xtask -- ratchet`\n\
-         # fails when any current count exceeds its ceiling — the lists may\n\
+        "# Allowlist ratchet: ceilings on the analyzer's burn-down allowlist,\n\
+         # one total plus per-code breakdowns. `cargo run -p xtask -- ratchet`\n\
+         # fails when any current count exceeds its ceiling — the list may\n\
          # only shrink. After burning entries down, record the progress with\n\
          # `cargo run -p xtask -- ratchet --write`, which refuses to raise a\n\
          # ceiling.\n",
@@ -323,7 +286,7 @@ fn render_ratchet(counts: &BTreeMap<String, usize>) -> String {
 }
 
 /// Ceiling keys with no corresponding current count: per-code keys whose
-/// last offence was burned down, or keys for retired lists. Totals are
+/// last offence was burned down, or keys of a retired list. The total is
 /// always present in `counts` (even at zero), so any leftover key is
 /// genuinely stale.
 fn stale_ceilings(
@@ -430,8 +393,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let ok = match args.as_slice() {
-        ["lint"] => run_lint(false),
-        ["lint", "--write-allowlist"] => run_lint(true),
         ["analyze"] => run_analyze(AnalyzeMode::Check { json: None }),
         ["analyze", "--json", path] => run_analyze(AnalyzeMode::Check {
             json: Some(PathBuf::from(path)),
@@ -477,16 +438,19 @@ mod tests {
     #[test]
     fn stale_ceilings_flags_burned_down_codes() {
         // S004 was fully burned: its per-code key vanishes from the
-        // counts (totals stay, even at zero), so its ceiling is stale.
+        // counts (totals stay, even at zero), so its ceiling is stale. So
+        // is every key of a retired list.
         let current = counts(&[("analyze-allow", 2), ("analyze-allow:S002", 2)]);
         let recorded = counts(&[
             ("analyze-allow", 5),
             ("analyze-allow:S002", 3),
             ("analyze-allow:S004", 2),
+            ("lint-allow", 39),
+            ("lint-allow:L002", 32),
         ]);
         assert_eq!(
             stale_ceilings(&current, &recorded),
-            vec!["analyze-allow:S004"]
+            vec!["analyze-allow:S004", "lint-allow", "lint-allow:L002"]
         );
     }
 
@@ -495,8 +459,34 @@ mod tests {
         let current = counts(&[("analyze-allow", 1), ("analyze-allow:S002", 1)]);
         assert!(stale_ceilings(&current, &current).is_empty());
         // A fully burned list keeps its zero total — not stale.
-        let zeroed = counts(&[("lint-allow", 0)]);
-        assert!(stale_ceilings(&zeroed, &counts(&[("lint-allow", 3)])).is_empty());
+        let zeroed = counts(&[("analyze-allow", 0)]);
+        assert!(stale_ceilings(&zeroed, &counts(&[("analyze-allow", 3)])).is_empty());
+    }
+
+    /// L005's guarantee, kept by the compiler: every crate inherits the
+    /// workspace lints, so none can opt out of `forbid(unsafe_code)` or
+    /// the clippy panic policy.
+    #[test]
+    fn every_crate_inherits_the_workspace_lints() {
+        let crates = repo_root().join("crates");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&crates).unwrap() {
+            let manifest = entry.unwrap().path().join("Cargo.toml");
+            if !manifest.is_file() {
+                continue;
+            }
+            let text = std::fs::read_to_string(&manifest).unwrap();
+            let inherits = text
+                .split("\n[")
+                .any(|table| table.starts_with("lints]") && table.contains("\nworkspace = true"));
+            assert!(
+                inherits,
+                "{}: missing `[lints] workspace = true`",
+                manifest.display()
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "no crates found under {}", crates.display());
     }
 
     #[test]

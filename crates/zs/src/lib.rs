@@ -19,7 +19,6 @@
 //! Complexity: `O(n1·n2·min(depth,leaves)²)` time — `O(n² log² n)` for
 //! balanced trees, exactly the bound quoted in Section 2.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use hierdiff_edit::Matching;
@@ -305,6 +304,7 @@ impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
                 let j = l2 + dj - 1;
                 if at(&self.v1.lml, i) == l1 && at(&self.v2.lml, j) == l2 {
                     // Relabel: the pair (i, j) is preserved.
+                    #[expect(clippy::expect_used, reason = "ZS backtrace pairs each node once")]
                     m.insert(at(&self.v1.post, i), at(&self.v2.post, j))
                         .expect("ZS mapping is one-to-one");
                     di -= 1;
