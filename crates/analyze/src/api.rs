@@ -17,7 +17,9 @@ use crate::parser::FileModel;
 use crate::report::Finding;
 
 /// S022: `pub fn diff_*` in non-test code outside `crates/core`, the one
-/// sanctioned home of diff entry points. Honours `analyze: allow(S022)`.
+/// sanctioned home of diff entry points. Honours `analyze: allow(S022)` on
+/// the `pub fn` line or the line above it (rustfmt keeps a multi-line
+/// signature's trailing comment off the `pub fn` line).
 pub fn stray_entry_points(model: &FileModel, findings: &mut Vec<Finding>, waived: &mut usize) {
     if model.rel.starts_with("crates/core/") {
         return;
@@ -33,7 +35,7 @@ pub fn stray_entry_points(model: &FileModel, findings: &mut Vec<Finding>, waived
         {
             continue;
         }
-        if model.waived(tok.line, "S022") {
+        if model.waived(tok.line, "S022") || model.waived(tok.line.saturating_sub(1), "S022") {
             *waived += 1;
             continue;
         }
@@ -112,8 +114,7 @@ fn join_signature(pieces: &[String]) -> String {
     // Merge `:`+`:` into `::` and `-`+`>` into `->`.
     let mut merged: Vec<String> = Vec::new();
     let mut i = 0;
-    while i < pieces.len() {
-        let cur = pieces[i].as_str();
+    while let Some(cur) = pieces.get(i).map(String::as_str) {
         let next = pieces.get(i + 1).map(String::as_str);
         if cur == ":" && next == Some(":") {
             merged.push("::".to_string());

@@ -77,7 +77,8 @@ pub fn arena_discipline(model: &FileModel, findings: &mut Vec<Finding>, waived: 
         }
         let fn_name = model
             .enclosing_fn(s)
-            .map(|i| model.fns[i].name.as_str())
+            .and_then(|i| model.fns.get(i))
+            .map(|f| f.name.as_str())
             .unwrap_or("");
 
         // S040: `.field[` on an SoA column.

@@ -190,28 +190,24 @@ pub fn concurrency_discipline(
     waived: &mut usize,
 ) -> LockModel {
     let mut model = LockModel::default();
-    let in_scope: Vec<bool> = files
-        .iter()
-        .map(|m| CONCURRENCY_CRATES.contains(&crate_of(&m.rel).unwrap_or("")))
-        .collect();
-
     // 1. Lock registry: lock-typed struct fields, params, and locals.
-    let registry = build_registry(files, &in_scope);
+    let registry = build_registry(files);
     model.locks = registry.clone();
 
     // 2. Acquisitions and their held regions, per function.
     let mut acqs: BTreeMap<FnNode, Vec<Acq>> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
-        if !in_scope[fi] {
+        if !in_scope(file) {
             continue;
         }
         collect_acquisitions(fi, file, &registry, &mut acqs);
     }
     for (&(fi, _), list) in &acqs {
+        let Some(file) = files.get(fi) else { continue };
         for a in list {
-            if let Some(t) = files[fi].tok(a.site) {
+            if let Some(t) = file.tok(a.site) {
                 model.acquisitions.push(Acquisition {
-                    path: files[fi].rel.clone(),
+                    path: file.rel.clone(),
                     line: t.line,
                     col: t.col,
                     lock: a.lock.clone(),
@@ -248,7 +244,7 @@ pub fn concurrency_discipline(
 
     // S051: undisciplined acquisitions.
     for (&(fi, _), list) in &acqs {
-        let file = &files[fi];
+        let Some(file) = files.get(fi) else { continue };
         for a in list.iter().filter(|a| !a.blessed) {
             let Some(t) = file.tok(a.site) else { continue };
             if waived_at(file, t.line, "S051") {
@@ -274,8 +270,9 @@ pub fn concurrency_discipline(
     // acquisition-order edges for S050.
     let mut seen: BTreeSet<(String, usize, usize, &'static str)> = BTreeSet::new();
     for (&node, list) in &regions {
-        let (fi, _) = node;
-        let file = &files[fi];
+        let Some(file) = files.get(node.0) else {
+            continue;
+        };
         for r in list {
             scan_region(file, r, findings, waived, &mut seen);
             order_edges(files, graph, &acqs, &trans, node, r, &mut model);
@@ -283,27 +280,26 @@ pub fn concurrency_discipline(
     }
 
     // S050: one finding per cycle (SCC) of the order graph.
-    emit_cycles(files, &in_scope, &mut model, findings, waived);
+    emit_cycles(files, &mut model, findings, waived);
 
     // S053: catch_unwind without a quarantine on the panic path.
-    for (fi, file) in files.iter().enumerate() {
-        if !in_scope[fi] {
-            continue;
-        }
+    for file in files.iter().filter(|f| in_scope(f)) {
         scan_catch_unwind(file, findings, waived);
     }
 
     model
 }
 
+/// Whether `file` belongs to a crate the lock model covers.
+fn in_scope(file: &FileModel) -> bool {
+    CONCURRENCY_CRATES.contains(&crate_of(&file.rel).unwrap_or(""))
+}
+
 /// Lock names with provenance: struct fields, fn params, and
 /// `Mutex::new`/`RwLock::new` locals across the in-scope files.
-fn build_registry(files: &[FileModel], in_scope: &[bool]) -> BTreeMap<String, BTreeSet<String>> {
+fn build_registry(files: &[FileModel]) -> BTreeMap<String, BTreeSet<String>> {
     let mut registry: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !in_scope[fi] {
-            continue;
-        }
+    for file in files.iter().filter(|f| in_scope(f)) {
         for st in &file.structs {
             for field in st.fields.iter().filter(|f| f.is_lock) {
                 registry
@@ -466,7 +462,9 @@ fn collect_acquisitions(
         let Some(fn_idx) = file.enclosing_fn(s) else {
             continue;
         };
-        let f = &file.fns[fn_idx];
+        let Some(f) = file.fns.get(fn_idx) else {
+            continue;
+        };
         if f.is_test || file.is_test_line(t.line) {
             continue;
         }
@@ -544,8 +542,10 @@ fn find_sinks(
 ) -> BTreeMap<FnNode, Vec<(usize, String)>> {
     let mut sinks: BTreeMap<FnNode, Vec<(usize, String)>> = BTreeMap::new();
     for (&(fi, fn_idx), list) in acqs {
-        let file = &files[fi];
-        let f = &file.fns[fn_idx];
+        let Some(file) = files.get(fi) else { continue };
+        let Some(f) = file.fns.get(fn_idx) else {
+            continue;
+        };
         for (pi, p) in f.params.iter().enumerate() {
             // A closure param has no recoverable type head.
             if p.ty.is_some() || p.is_dyn {
@@ -582,8 +582,9 @@ fn add_closure_regions(
         return;
     }
     for (&caller, site_list) in &graph.sites {
-        let (fi, _) = caller;
-        let file = &files[fi];
+        let Some(file) = files.get(caller.0) else {
+            continue;
+        };
         for site in site_list {
             for target in &site.targets {
                 let Some(sunk) = sinks.get(target) else {
@@ -763,8 +764,9 @@ fn order_edges(
     r: &Region,
     model: &mut LockModel,
 ) {
-    let (fi, _) = node;
-    let file = &files[fi];
+    let Some(file) = files.get(node.0) else {
+        return;
+    };
     let site_of = |s: usize| {
         file.tok(s)
             .map(|t| format!("{}:{}", file.rel, t.line))
@@ -806,7 +808,6 @@ fn order_edges(
 /// S050 finding per cycle, anchored at the smallest involved site.
 fn emit_cycles(
     files: &[FileModel],
-    in_scope: &[bool],
     model: &mut LockModel,
     findings: &mut Vec<Finding>,
     waived: &mut usize,
@@ -878,11 +879,7 @@ fn emit_cycles(
             .map(|(p, l)| (p.to_string(), l.parse().unwrap_or(1)))
             .unwrap_or_else(|| (anchor.to_string(), 1));
         // Waiver check needs the file model for the anchor path.
-        let file = files
-            .iter()
-            .enumerate()
-            .find(|(fi, m)| in_scope[*fi] && m.rel == path)
-            .map(|(_, m)| m);
+        let file = files.iter().find(|m| in_scope(m) && m.rel == path);
         if let Some(file) = file {
             if waived_at(file, line, "S050") {
                 *waived += 1;
@@ -915,7 +912,9 @@ fn scan_catch_unwind(file: &FileModel, findings: &mut Vec<Finding>, waived: &mut
         let Some(fn_idx) = file.enclosing_fn(s) else {
             continue;
         };
-        let f = &file.fns[fn_idx];
+        let Some(f) = file.fns.get(fn_idx) else {
+            continue;
+        };
         if f.is_test || file.is_test_line(t.line) {
             continue;
         }

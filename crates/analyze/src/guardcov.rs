@@ -22,10 +22,9 @@
 use std::collections::BTreeSet;
 
 use crate::lexer::TokenKind;
-use crate::panics::entry_roots;
 use crate::parser::{FileModel, LoopRegion};
 use crate::report::Finding;
-use crate::resolve::{crate_of, CallGraph};
+use crate::resolve::{crate_of, entry_roots, CallGraph};
 
 /// Call names that count as governance.
 const GUARD_CALLS: &[&str] = &["tick", "checkpoint"];
@@ -67,7 +66,9 @@ pub fn guard_coverage(
             let Some(fn_idx) = model.enclosing_fn(l.open) else {
                 continue;
             };
-            let f = &model.fns[fn_idx];
+            let Some(f) = model.fns.get(fn_idx) else {
+                continue;
+            };
             if f.is_test {
                 continue;
             }

@@ -131,15 +131,14 @@ pub fn lex(source: &str) -> Lexed {
         }
     };
 
-    while i < chars.len() {
-        let c = chars[i];
+    while let Some(&c) = chars.get(i) {
         let next = chars.get(i + 1).copied();
         let (start_line, start_col) = (line, col);
         let start = i;
 
         let kind = if c.is_whitespace() {
             let mut j = i + 1;
-            while j < chars.len() && chars[j].is_whitespace() {
+            while chars.get(j).is_some_and(|c| c.is_whitespace()) {
                 j += 1;
             }
             step(&chars, i, j, &mut line, &mut col);
@@ -147,7 +146,7 @@ pub fn lex(source: &str) -> Lexed {
             continue;
         } else if c == '/' && next == Some('/') {
             let mut j = i + 2;
-            while j < chars.len() && chars[j] != '\n' {
+            while chars.get(j).is_some_and(|&c| c != '\n') {
                 j += 1;
             }
             i = j;
@@ -156,11 +155,11 @@ pub fn lex(source: &str) -> Lexed {
             // Block comments nest.
             let mut depth = 0usize;
             let mut j = i;
-            while j < chars.len() {
-                if chars[j] == '/' && chars.get(j + 1) == Some(&'*') {
+            while let Some(&cj) = chars.get(j) {
+                if cj == '/' && chars.get(j + 1) == Some(&'*') {
                     depth += 1;
                     j += 2;
-                } else if chars[j] == '*' && chars.get(j + 1) == Some(&'/') {
+                } else if cj == '*' && chars.get(j + 1) == Some(&'/') {
                     depth = depth.saturating_sub(1);
                     j += 2;
                     if depth == 0 {
@@ -195,7 +194,7 @@ pub fn lex(source: &str) -> Lexed {
                 TokenKind::CharLit
             } else {
                 let mut j = i + 1;
-                while j < chars.len() && is_ident_continue(chars[j]) {
+                while chars.get(j).copied().is_some_and(is_ident_continue) {
                     j += 1;
                 }
                 i = j;
@@ -203,14 +202,14 @@ pub fn lex(source: &str) -> Lexed {
             }
         } else if c.is_ascii_digit() {
             let mut j = i + 1;
-            while j < chars.len() && is_ident_continue(chars[j]) {
+            while chars.get(j).copied().is_some_and(is_ident_continue) {
                 j += 1;
             }
             i = j;
             TokenKind::Num
         } else if is_ident_start(c) {
             let mut j = i + 1;
-            while j < chars.len() && is_ident_continue(chars[j]) {
+            while chars.get(j).copied().is_some_and(is_ident_continue) {
                 j += 1;
             }
             i = j;
@@ -245,7 +244,7 @@ fn raw_ident_end(chars: &[char], i: usize) -> Option<usize> {
         return None;
     }
     let mut j = i + 3;
-    while j < chars.len() && is_ident_continue(chars[j]) {
+    while chars.get(j).copied().is_some_and(is_ident_continue) {
         j += 1;
     }
     Some(j)
@@ -271,11 +270,9 @@ fn raw_string_end(chars: &[char], i: usize) -> Option<usize> {
         return None;
     }
     let mut j = start + hashes + 1;
-    while j < chars.len() {
-        if chars[j] == '"'
-            && chars.len() - j > hashes
-            && chars[j + 1..j + 1 + hashes].iter().all(|&h| h == '#')
-        {
+    while let Some(&cj) = chars.get(j) {
+        let closing_hashes = chars.get(j + 1..j + 1 + hashes);
+        if cj == '"' && closing_hashes.is_some_and(|run| run.iter().all(|&h| h == '#')) {
             return Some(j + 1 + hashes);
         }
         j += 1;
@@ -288,10 +285,10 @@ fn raw_string_end(chars: &[char], i: usize) -> Option<usize> {
 /// to the source length for unterminated literals.
 fn quoted_end(chars: &[char], from: usize, close: char) -> usize {
     let mut j = from;
-    while j < chars.len() {
-        if chars[j] == '\\' {
+    while let Some(&cj) = chars.get(j) {
+        if cj == '\\' {
             j += 2;
-        } else if chars[j] == close {
+        } else if cj == close {
             return j + 1;
         } else {
             j += 1;

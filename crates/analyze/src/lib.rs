@@ -12,8 +12,6 @@
 //! * [`resolve`] — the path-, import-, and impl-resolved call graph every
 //!   reachability pass walks; trait objects and generics stay documented
 //!   over-approximations.
-//! * [`panics`] — **S001–S004**: panicking constructs transitively
-//!   reachable from the `Differ` facade, batch workers, and CLI mains.
 //! * [`hotloop`] — **S010/S011**: allocation and `dyn` dispatch inside
 //!   loop bodies of `hierdiff-analyze: hot-module`-marked files.
 //! * [`api`] — **S020–S022**: public-API surface snapshots under `api/`,
@@ -29,31 +27,32 @@
 //!   lock-order cycles, `PoisonError::into_inner` recovery, foreign or
 //!   blocking calls under a lock, unwind-unsafe `catch_unwind`
 //!   boundaries, and guard checkpoints under a lock.
-//! * [`allow`] — the burn-down allowlist contract.
 //! * [`report`] — findings, human rendering, and the hand-rolled JSON
 //!   report.
 //! * [`workspace`] — file discovery and the `cargo run -p xtask --
-//!   analyze` engine.
+//!   analyze` engine, including **S060**: an inline
+//!   `// analyze: allow(CODE) reason` waiver that suppresses nothing.
+//!
+//! Panicking constructs are not the analyzer's business: clippy's
+//! `unwrap_used`, `expect_used`, `panic`, `unreachable` and
+//! `indexing_slicing` lints, denied in `[workspace.lints]`, cover them.
 //!
 //! See DESIGN.md ("Static analysis") for the S-code catalogue, the call
 //! graph's documented imprecision, and the snapshot review workflow.
 
 #![warn(missing_docs)]
 
-pub mod allow;
 pub mod api;
 pub mod arena;
 pub mod concurrency;
 pub mod guardcov;
 pub mod hotloop;
 pub mod lexer;
-pub mod panics;
 pub mod parser;
 pub mod report;
 pub mod resolve;
 pub mod workspace;
 
-pub use allow::{judge, parse_allowlist, render_allowlist, Verdict};
 pub use concurrency::LockModel;
 pub use report::{render_json, Finding};
 pub use workspace::{

@@ -6,6 +6,8 @@
 //! names a file imports. Anything the recogniser cannot classify is simply
 //! not an item — it never aborts on unexpected input.
 
+use std::cell::Cell;
+
 use crate::lexer::{lex, test_line_mask, Lexed, Token, TokenKind};
 
 /// A recovered `fn` item.
@@ -124,6 +126,19 @@ pub struct UseImport {
     pub glob: bool,
 }
 
+/// One inline `// analyze: allow(CODE) reason` waiver. Doc comments are
+/// documentation, not waivers.
+#[derive(Clone, Debug)]
+pub struct Waiver {
+    /// 1-based line of the comment.
+    pub line: usize,
+    /// The waived code (`S031`, …).
+    pub code: String,
+    /// Set once the waiver suppresses a finding; an unset flag after the
+    /// analysis means the waiver is stale.
+    used: Cell<bool>,
+}
+
 /// A lexed + structurally recovered source file.
 pub struct FileModel {
     /// Repo-relative path, forward slashes.
@@ -149,10 +164,47 @@ pub struct FileModel {
     /// Whether the file opts into hot-loop discipline via the
     /// `hierdiff-analyze: hot-module` marker comment.
     pub hot: bool,
+    /// Inline waivers, in source order.
+    pub waivers: Vec<Waiver>,
 }
 
 /// The marker comment that opts a module into hot-loop discipline.
 pub const HOT_MODULE_MARKER: &str = "hierdiff-analyze: hot-module";
+
+/// Every `allow(SNNN)` named by a non-doc comment that contains
+/// `analyze:`.
+fn recover_waivers(lexed: &Lexed) -> Vec<Waiver> {
+    let mut waivers = Vec::new();
+    for t in &lexed.tokens {
+        if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
+            continue;
+        }
+        let text = lexed.text(t);
+        if ["///", "//!", "/**", "/*!"]
+            .iter()
+            .any(|p| text.starts_with(p))
+        {
+            continue;
+        }
+        let Some((_, rest)) = text.split_once("analyze:") else {
+            continue;
+        };
+        for piece in rest.split("allow(").skip(1) {
+            let code = piece.split(')').next().unwrap_or_default();
+            let well_formed = code.len() == 4
+                && code.starts_with('S')
+                && code.chars().skip(1).all(|c| c.is_ascii_digit());
+            if well_formed {
+                waivers.push(Waiver {
+                    line: t.line,
+                    code: code.to_string(),
+                    used: Cell::new(false),
+                });
+            }
+        }
+    }
+    waivers
+}
 
 impl FileModel {
     /// Lexes and recovers structure from one file.
@@ -178,6 +230,7 @@ impl FileModel {
                     == HOT_MODULE_MARKER
         });
 
+        let waivers = recover_waivers(&lexed);
         let mut model = FileModel {
             rel: rel.to_string(),
             lexed,
@@ -190,6 +243,7 @@ impl FileModel {
             mods: Vec::new(),
             structs: Vec::new(),
             hot,
+            waivers,
         };
         model.recover_fns();
         model.recover_loops();
@@ -225,18 +279,22 @@ impl FileModel {
             .unwrap_or(false)
     }
 
-    /// Whether any comment on 1-based `line` waives lint `code` via an
-    /// inline `analyze: allow(CODE)` annotation.
+    /// Whether a waiver on 1-based `line` waives lint `code`; a waiver
+    /// that answers yes is marked used.
     pub fn waived(&self, line: usize, code: &str) -> bool {
-        let needle = format!("allow({code})");
-        self.lexed.tokens.iter().any(|t| {
-            t.line == line
-                && matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-                && {
-                    let text = self.lexed.text(t);
-                    text.contains("analyze:") && text.contains(&needle)
-                }
-        })
+        let mut hit = false;
+        for w in &self.waivers {
+            if w.line == line && w.code == code {
+                w.used.set(true);
+                hit = true;
+            }
+        }
+        hit
+    }
+
+    /// Waivers that have suppressed nothing so far.
+    pub fn unused_waivers(&self) -> impl Iterator<Item = &Waiver> {
+        self.waivers.iter().filter(|w| !w.used.get())
     }
 
     /// The innermost function whose body contains significant index `s`.
@@ -924,9 +982,25 @@ mod tests {
             "//! hierdiff-analyze: hot-module\nfn f() {\n    let v = Vec::new(); // analyze: allow(S010) setup\n}\n",
         );
         assert!(m.hot);
-        assert!(m.waived(3, "S010"));
         assert!(!m.waived(3, "S011"));
         assert!(!m.waived(2, "S010"));
+        assert_eq!(m.unused_waivers().count(), 1);
+        assert!(m.waived(3, "S010"));
+        assert_eq!(m.unused_waivers().count(), 0);
+    }
+
+    #[test]
+    fn doc_comments_and_placeholders_are_not_waivers() {
+        let m = model(
+            "/// honours `// analyze: allow(S022)`\n//! `analyze: allow(S04x) reason`\n\
+             fn f() {} // analyze: allow(S031) one pass allow(S010) too\n",
+        );
+        let codes: Vec<(usize, &str)> = m
+            .waivers
+            .iter()
+            .map(|w| (w.line, w.code.as_str()))
+            .collect();
+        assert_eq!(codes, vec![(3, "S031"), (3, "S010")]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct Finding {
     pub line: usize,
     /// 1-based char column (0 when the check is line-granular).
     pub col: usize,
-    /// Stable code: `L0xx` for the lexical lints, `S0xx` for the analyzer.
+    /// Stable `S0xx` code.
     pub code: &'static str,
     /// What the check objects to.
     pub message: String,
@@ -58,8 +58,8 @@ fn json_escape(s: &str) -> String {
 
 /// Renders the analyzer report as JSON: the findings plus summary counts.
 /// `waived` is the number of sites suppressed by inline `analyze: allow(…)`
-/// annotations; `allowlisted` the number absorbed by the burn-down file.
-pub fn render_json(findings: &[Finding], allowlisted: usize, waived: usize) -> String {
+/// waivers.
+pub fn render_json(findings: &[Finding], waived: usize) -> String {
     let mut out = String::from("{\n  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         out.push_str(&format!(
@@ -73,9 +73,8 @@ pub fn render_json(findings: &[Finding], allowlisted: usize, waived: usize) -> S
         ));
     }
     out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"total\": {}, \"allowlisted\": {}, \"waived\": {}}}\n}}\n",
+        "  ],\n  \"summary\": {{\"total\": {}, \"waived\": {}}}\n}}\n",
         findings.len(),
-        allowlisted,
         waived
     ));
     out
@@ -91,12 +90,12 @@ mod tests {
             path: "crates/a/src/x.rs".into(),
             line: 3,
             col: 7,
-            code: "S001",
+            code: "S010",
             message: "m".into(),
         };
-        assert_eq!(f.to_string(), "crates/a/src/x.rs:3:7: S001 m");
+        assert_eq!(f.to_string(), "crates/a/src/x.rs:3:7: S010 m");
         let g = Finding { col: 0, ..f };
-        assert_eq!(g.to_string(), "crates/a/src/x.rs:3: S001 m");
+        assert_eq!(g.to_string(), "crates/a/src/x.rs:3: S010 m");
     }
 
     #[test]
@@ -108,11 +107,10 @@ mod tests {
             code: "S010",
             message: "uses \\ and\nnewline".into(),
         }];
-        let j = render_json(&fs, 4, 2);
+        let j = render_json(&fs, 2);
         assert!(j.contains("\"path\": \"a\\\"b\""));
         assert!(j.contains("uses \\\\ and\\nnewline"));
         assert!(j.contains("\"total\": 1"));
-        assert!(j.contains("\"allowlisted\": 4"));
         assert!(j.contains("\"waived\": 2"));
         // Valid-ish JSON smoke: balanced braces/brackets.
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -141,6 +141,25 @@ impl CallGraph {
     }
 }
 
+/// The labelled roots matching `entrypoints` (`(file suffix, fn name)`
+/// pairs) over `files`: each non-test root tagged with its fn name, ready
+/// for [`CallGraph::reachable`].
+pub fn entry_roots(files: &[FileModel], entrypoints: &[(&str, &str)]) -> Vec<(FnNode, String)> {
+    let mut roots = Vec::new();
+    for (fi, model) in files.iter().enumerate() {
+        for &(suffix, name) in entrypoints {
+            if model.rel.ends_with(suffix) {
+                for (gi, f) in model.fns.iter().enumerate() {
+                    if f.name == name && !f.is_test && f.body.is_some() {
+                        roots.push(((fi, gi), name.to_string()));
+                    }
+                }
+            }
+        }
+    }
+    roots
+}
+
 /// Lookup structures shared by every file's call resolution.
 struct Index {
     /// bare name -> nodes (non-test fns with a body only).
@@ -168,7 +187,8 @@ impl Index {
                 let o = f
                     .body
                     .and_then(|(open, _)| model.enclosing_impl(open))
-                    .map(|ii| model.impls[ii].owner.clone());
+                    .and_then(|ii| model.impls.get(ii))
+                    .map(|im| im.owner.clone());
                 owners.push(o);
                 if !f.is_test && f.body.is_some() {
                     by_name.entry(f.name.clone()).or_default().push((fi, gi));
@@ -184,6 +204,16 @@ impl Index {
         }
     }
 
+    /// The crate directory name of file `fi`.
+    fn crate_name_of(&self, fi: usize) -> Option<&str> {
+        self.crate_name.get(fi).map(String::as_str)
+    }
+
+    /// The enclosing impl's owner type of fn `node`, if any.
+    fn owner_of(&self, (fi, gi): FnNode) -> Option<&str> {
+        self.owner.get(fi)?.get(gi)?.as_deref()
+    }
+
     /// Non-test bodied fns named `name` inside crate `krate`.
     fn fns_in_crate(&self, name: &str, krate: &str) -> Vec<FnNode> {
         self.by_name
@@ -192,7 +222,7 @@ impl Index {
                 nodes
                     .iter()
                     .copied()
-                    .filter(|&(fi, _)| self.crate_name[fi] == krate)
+                    .filter(|&(fi, _)| self.crate_name_of(fi) == Some(krate))
                     .collect()
             })
             .unwrap_or_default()
@@ -208,8 +238,8 @@ impl Index {
                     .iter()
                     .copied()
                     .filter(|&(fi, gi)| {
-                        self.owner[fi][gi].as_deref() == Some(owner_ty)
-                            && krate.is_none_or(|k| self.crate_name[fi] == k)
+                        self.owner_of((fi, gi)) == Some(owner_ty)
+                            && krate.is_none_or(|k| self.crate_name_of(fi) == Some(k))
                     })
                     .collect()
             })
@@ -226,7 +256,8 @@ impl Index {
                     .iter()
                     .copied()
                     .filter(|&(fi, gi)| {
-                        self.owner[fi][gi].is_some() && scope.contains(self.crate_name[fi].as_str())
+                        self.owner_of((fi, gi)).is_some()
+                            && self.crate_name_of(fi).is_some_and(|k| scope.contains(k))
                     })
                     .collect()
             })
@@ -262,7 +293,7 @@ fn scan_calls(
     out: &mut BTreeMap<FnNode, BTreeSet<FnNode>>,
     sites: &mut BTreeMap<FnNode, Vec<CallSite>>,
 ) {
-    let current = idx.crate_name[fi].clone();
+    let current = idx.crate_name_of(fi).unwrap_or_default().to_string();
     let scope = scope_crates(model, &current, &idx.crates);
     let n = model.sig.len();
     let mut s = 0;
@@ -460,7 +491,8 @@ fn resolve_path(
     if root == "Self" {
         let Some(owner) = model
             .enclosing_impl(s)
-            .map(|ii| model.impls[ii].owner.clone())
+            .and_then(|ii| model.impls.get(ii))
+            .map(|im| im.owner.clone())
         else {
             return Vec::new();
         };
@@ -536,7 +568,8 @@ fn resolve_method(
         Receiver::SelfDot => {
             let Some(owner) = model
                 .enclosing_impl(s)
-                .map(|ii| model.impls[ii].owner.clone())
+                .and_then(|ii| model.impls.get(ii))
+                .map(|im| im.owner.clone())
             else {
                 return Vec::new();
             };
@@ -576,8 +609,7 @@ enum RecvType {
 /// Types the receiver binding `name` at call site `s`: enclosing-fn
 /// parameters first, then `let name: Type` bindings in the same body.
 fn receiver_type(model: &FileModel, s: usize, name: &str) -> Option<RecvType> {
-    let fn_idx = model.enclosing_fn(s)?;
-    let f = &model.fns[fn_idx];
+    let f = model.enclosing_fn(s).and_then(|i| model.fns.get(i))?;
     if let Some(p) = f.params.iter().find(|p| p.name == name) {
         if p.is_dyn {
             return Some(RecvType::Dyn);
@@ -604,13 +636,13 @@ fn receiver_type(model: &FileModel, s: usize, name: &str) -> Option<RecvType> {
 /// Whether `name` is a generic type parameter of the fn or impl
 /// enclosing significant index `s`.
 fn generic_in_scope(model: &FileModel, s: usize, name: &str) -> bool {
-    if let Some(fn_idx) = model.enclosing_fn(s) {
-        if model.fns[fn_idx].generics.iter().any(|g| g == name) {
+    if let Some(f) = model.enclosing_fn(s).and_then(|i| model.fns.get(i)) {
+        if f.generics.iter().any(|g| g == name) {
             return true;
         }
     }
-    if let Some(ii) = model.enclosing_impl(s) {
-        if model.impls[ii].generics.iter().any(|g| g == name) {
+    if let Some(im) = model.enclosing_impl(s).and_then(|ii| model.impls.get(ii)) {
+        if im.generics.iter().any(|g| g == name) {
             return true;
         }
     }
@@ -902,5 +934,27 @@ mod tests {
         assert_eq!(reached.len(), 3);
         assert_eq!(reached[&(0, 2)], "entry");
         assert!(!reached.contains_key(&(0, 3)));
+    }
+
+    #[test]
+    fn entry_roots_skip_test_fns_and_other_files() {
+        let files = ws(&[
+            (
+                "crates/core/src/differ.rs",
+                "fn diff() {}
+#[cfg(test)]
+mod tests {
+    fn diff() {}
+}
+",
+            ),
+            (
+                "crates/edit/src/x.rs",
+                "fn diff() {}
+",
+            ),
+        ]);
+        let roots = entry_roots(&files, &[("crates/core/src/differ.rs", "diff")]);
+        assert_eq!(roots, vec![((0, 0), "diff".to_string())]);
     }
 }

@@ -10,7 +10,6 @@ use crate::arena::arena_discipline;
 use crate::concurrency::{concurrency_discipline, LockModel};
 use crate::guardcov::guard_coverage;
 use crate::hotloop::hot_loop_lints;
-use crate::panics::panic_reachability;
 use crate::parser::FileModel;
 use crate::report::Finding;
 use crate::resolve::CallGraph;
@@ -89,20 +88,21 @@ pub fn load_workspace_threads(repo_root: &Path, threads: usize) -> io::Result<Wo
         let mut handles = Vec::new();
         for w in 0..threads {
             handles.push(scope.spawn(move || {
-                let mut built = Vec::new();
-                let mut i = w;
-                while i < inputs_ref.len() {
-                    let (rel, src) = &inputs_ref[i];
-                    built.push((i, FileModel::build(rel, src)));
-                    i += threads;
-                }
-                built
+                inputs_ref
+                    .iter()
+                    .enumerate()
+                    .skip(w)
+                    .step_by(threads)
+                    .map(|(i, (rel, src))| (i, FileModel::build(rel, src)))
+                    .collect::<Vec<_>>()
             }));
         }
         for h in handles {
             if let Ok(built) = h.join() {
-                for (i, model) in built {
-                    slots[i] = Some(model);
+                for (slot, model) in built {
+                    if let Some(slot) = slots.get_mut(slot) {
+                        *slot = Some(model);
+                    }
                 }
             }
         }
@@ -116,7 +116,7 @@ pub fn load_workspace_threads(repo_root: &Path, threads: usize) -> io::Result<Wo
 pub struct Analysis {
     /// All findings, from every pass.
     pub findings: Vec<Finding>,
-    /// Sites suppressed by inline `analyze: allow(…)` annotations.
+    /// Sites suppressed by inline `analyze: allow(…)` waivers.
     pub waived: usize,
     /// The extracted serve/guard lock model (S050–S055); renders the
     /// `--lock-graph` DOT artifact.
@@ -125,10 +125,10 @@ pub struct Analysis {
     pub concurrency_nanos: u128,
 }
 
-/// Runs the full `S0xx` analysis: panic reachability (S001–S004),
-/// hot-loop discipline (S010/S011), API snapshot checks and diff entry
-/// points (S020–S022), guard coverage (S030/S031), arena discipline
-/// (S040–S043), and concurrency discipline (S050–S055).
+/// Runs the full `S0xx` analysis: hot-loop discipline (S010/S011), API
+/// snapshot checks and diff entry points (S020–S022), guard coverage
+/// (S030/S031), arena discipline (S040–S043), concurrency discipline
+/// (S050–S055), and unused waivers (S060).
 pub fn run_analysis(repo_root: &Path) -> io::Result<Analysis> {
     run_analysis_threads(repo_root, 1)
 }
@@ -138,7 +138,7 @@ pub fn run_analysis_threads(repo_root: &Path, threads: usize) -> io::Result<Anal
     let ws = load_workspace_threads(repo_root, threads)?;
     let graph = CallGraph::build(&ws.files);
     let mut waived = 0usize;
-    let mut findings = panic_reachability(&ws.files, &graph, &mut waived);
+    let mut findings = Vec::new();
     for model in &ws.files {
         hot_loop_lints(model, &mut findings, &mut waived);
     }
@@ -150,6 +150,9 @@ pub fn run_analysis_threads(repo_root: &Path, threads: usize) -> io::Result<Anal
     let started = std::time::Instant::now();
     let lock_model = concurrency_discipline(&ws.files, &graph, &mut findings, &mut waived);
     let concurrency_nanos = started.elapsed().as_nanos();
+    for model in &ws.files {
+        unused_waivers(model, &mut findings);
+    }
     findings.extend(check_api_snapshots(repo_root, &ws)?);
     Ok(Analysis {
         findings,
@@ -157,6 +160,24 @@ pub fn run_analysis_threads(repo_root: &Path, threads: usize) -> io::Result<Anal
         lock_model,
         concurrency_nanos,
     })
+}
+
+/// S060: a waiver no pass consulted on a finding, the analyzer's
+/// counterpart of clippy's unfulfilled `#[expect]`. Runs after every pass
+/// that honours waivers.
+fn unused_waivers(model: &FileModel, findings: &mut Vec<Finding>) {
+    for w in model.unused_waivers() {
+        findings.push(Finding {
+            path: model.rel.clone(),
+            line: w.line,
+            col: 0,
+            code: "S060",
+            message: format!(
+                "`analyze: allow({})` waives nothing on this line; delete it",
+                w.code
+            ),
+        });
+    }
 }
 
 /// The library crates that carry an API snapshot: every `crates/<name>`
@@ -253,4 +274,29 @@ pub fn write_api_snapshots(repo_root: &Path) -> io::Result<usize> {
         )?;
     }
     Ok(names.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_waiver_that_suppresses_nothing_is_s060() {
+        // Line 4's waiver suppresses a real S010; line 5's names a code
+        // no pass reports there, so only it is stale.
+        let model = FileModel::build(
+            "crates/lcs/src/k.rs",
+            "//! hierdiff-analyze: hot-module\nfn f(xs: &[u8]) {\n    for _ in xs {\n        \
+             let v = Vec::new(); // analyze: allow(S010) per-round scratch\n        \
+             work(v); // analyze: allow(S011) stale\n    }\n}\n",
+        );
+        let (mut findings, mut waived) = (Vec::new(), 0);
+        hot_loop_lints(&model, &mut findings, &mut waived);
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(waived, 1);
+        unused_waivers(&model, &mut findings);
+        let stale: Vec<(usize, &str)> = findings.iter().map(|f| (f.line, f.code)).collect();
+        assert_eq!(stale, vec![(5, "S060")]);
+        assert!(findings[0].message.contains("allow(S011)"));
+    }
 }

@@ -29,7 +29,7 @@ pub fn audit_delta<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>, delta: &DeltaTree<V
     }
     while structurally_sound {
         let Some(id) = stack.pop() else { break };
-        if seen[id.index()] {
+        let Some(slot) = seen.get_mut(id.index()).filter(|done| !**done) else {
             structurally_sound = false;
             report.push(Diagnostic::error(
                 Code::A042,
@@ -40,8 +40,8 @@ pub fn audit_delta<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>, delta: &DeltaTree<V
                 None,
             ));
             break;
-        }
-        seen[id.index()] = true;
+        };
+        *slot = true;
         for &c in delta.children(id) {
             if c.index() >= len {
                 structurally_sound = false;

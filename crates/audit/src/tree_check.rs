@@ -52,15 +52,15 @@ pub fn audit_tree<V: NodeValue>(tree: &Tree<V>, side: Side) -> AuditReport {
             path: path.clone(),
         });
         report.checks_run += 1;
-        if id.index() >= seen.len() || seen[id.index()] {
+        let Some(slot) = seen.get_mut(id.index()).filter(|done| !**done) else {
             report.push(Diagnostic::error(
                 Code::A002,
                 format!("node {id} reached twice (cycle or shared child)"),
                 span,
             ));
             continue;
-        }
-        seen[id.index()] = true;
+        };
+        *slot = true;
         report.checks_run += 1;
         if !tree.is_alive(id) {
             report.push(Diagnostic::error(

@@ -6,7 +6,12 @@
 //! network).
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use hierdiff_audit::{
     audit_delta, audit_matching, audit_pairs, audit_prune, audit_script, audit_tree, Code, Side,

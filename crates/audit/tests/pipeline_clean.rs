@@ -7,7 +7,12 @@
 //! or they would be either useless or unusable as a default-on gate.
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use hierdiff_core::{Audit, Differ};
 use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};

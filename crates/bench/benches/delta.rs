@@ -3,7 +3,12 @@
 //! document sizes.
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_delta::{build_delta_tree, extract_script, render_text, ChangeKind};

@@ -2,7 +2,12 @@
 //! misaligned nodes D at fixed N (Theorem C.2).
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_edit::edit_script;

@@ -2,7 +2,12 @@
 //! markup) on LaTeX sources of three sizes — the whole Section 7 system.
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_bench::experiments::{SAMPLE_NEW, SAMPLE_OLD};

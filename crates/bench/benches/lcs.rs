@@ -3,6 +3,9 @@
 //! (FastMatch chains, child alignment) and our use of DP for short word
 //! sequences (sentence compare).
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::indexing_slicing)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_lcs::{lcs_dp, lcs_myers};
 use rand::{rngs::StdRng, Rng, SeedableRng};

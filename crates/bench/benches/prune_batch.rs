@@ -10,7 +10,12 @@
 //!    where static assignment strands the heavy work on one thread.
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_core::Differ;

@@ -3,7 +3,12 @@
 //! growth-rate gap are the paper's headline positioning claim.
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_edit::edit_script;

@@ -18,7 +18,12 @@
 //! only meaningful in release. Exits non-zero if a claim fails.
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use hierdiff_core::{Audit, DiffProfile, Differ};
 use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};

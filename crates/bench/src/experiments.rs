@@ -34,8 +34,10 @@ pub fn fig13a() -> String {
     // conference papers; ours are fully reproducible from DESIGN.md).
     for (idx, profile) in DocSetProfile::paper_sets().iter().enumerate() {
         let set = generate_docset(profile);
-        let stats = hierdiff_tree::TreeStats::of(&set.versions[0]);
-        let _ = writeln!(out, "set {}: base version has {stats}", idx + 1);
+        if let Some(base) = set.versions.first() {
+            let stats = hierdiff_tree::TreeStats::of(base);
+            let _ = writeln!(out, "set {}: base version has {stats}", idx + 1);
+        }
     }
     out.push('\n');
     let mut all_points: Vec<(f64, f64)> = Vec::new();
@@ -67,7 +69,7 @@ pub fn fig13a() -> String {
         table.row(&[
             n(idx + 1),
             n(pairs),
-            n(set.versions[0].leaves().count()),
+            n(set.versions.first().map_or(0, |base| base.leaves().count())),
             f1(sum_d as f64 / pairs.max(1) as f64),
             f1(sum_e as f64 / pairs.max(1) as f64),
             f2(avg_ratio),
@@ -174,7 +176,10 @@ pub fn table1() -> String {
         table.row(&[f1(t), f1(b)]);
     }
     out.push_str(&table.to_markdown());
-    let monotone = bounds.windows(2).all(|w| w[0] <= w[1] + 1e-9);
+    let monotone = bounds
+        .iter()
+        .zip(bounds.iter().skip(1))
+        .all(|(a, b)| *a <= b + 1e-9);
     let _ = writeln!(
         out,
         "\nmonotone non-decreasing in t: {monotone}; paper row: (-, 1, 3, 7, 9, 10)%."
@@ -358,7 +363,7 @@ pub fn zs_compare() -> String {
         let median = |v: &mut Vec<f64>| -> f64 {
             #[expect(clippy::expect_used, reason = "elapsed times are never NaN")]
             v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            v[v.len() / 2]
+            v.get(v.len() / 2).copied().unwrap_or_default()
         };
         let ch = median(&mut chawathe_times);
         let zs = median(&mut zs_times);
@@ -423,7 +428,12 @@ pub fn editscript_scaling() -> String {
             n(moves),
             n(res.stats.intra_moves),
             n(res.script.len()),
-            format!("{:.0}", times[times.len() / 2].as_secs_f64() * 1e6),
+            format!(
+                "{:.0}",
+                times
+                    .get(times.len() / 2)
+                    .map_or(0.0, |t| t.as_secs_f64() * 1e6)
+            ),
         ]);
     }
     out.push_str(&table.to_markdown());

@@ -18,6 +18,7 @@ pub use measure::{measure_pair, PairMeasurement};
 pub(crate) fn must<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     match r {
         Ok(v) => v,
+        #[expect(clippy::unreachable, reason = "ungoverned matchers only fail on a bug")]
         Err(e) => unreachable!("ungoverned matcher failed: {e}"),
     }
 }

@@ -135,6 +135,10 @@ pub fn measure_pairs_parallel(
         let handles: Vec<_> = pairs
             .iter()
             .map(|&(i, j)| {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "callers pass pairs of version indices"
+                )]
                 let (a, b) = (&versions[i], &versions[j]);
                 scope.spawn(move || measure_pair(a, b, params, which))
             })

@@ -29,8 +29,8 @@ impl Table {
     pub fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.len());
             }
         }
         let mut out = String::new();

@@ -239,8 +239,10 @@ where
     // drains it front-to-back, thieves take from the front of the heaviest
     // remainder.
     let deques: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    for (i, _) in pairs.iter().enumerate() {
-        deques[i * workers / pairs.len()].push(i);
+    for i in 0..pairs.len() {
+        if let Some(deque) = deques.get(i * workers / pairs.len()) {
+            deque.push(i);
+        }
     }
     let stealers: Vec<Stealer<usize>> = deques.iter().map(Worker::stealer).collect();
 
@@ -264,6 +266,10 @@ where
                                 None => break,
                             },
                         };
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "deques hold indices into `pairs`"
+                        )]
                         let (old, new) = pairs[i];
                         let t0 = Instant::now();
                         let result = diff_observed(
@@ -288,7 +294,9 @@ where
                         // that panics mid-call has still observed the pair,
                         // so the retry pass must not hand it over twice.
                         let mut s = state.lock().unwrap_or_else(PoisonError::into_inner);
-                        s.0[i] = true;
+                        if let Some(delivered) = s.0.get_mut(i) {
+                            *delivered = true;
+                        }
                         (s.1)(i, result);
                     }
                     (stats, recorder.map(|r| r.profile()))
@@ -333,11 +341,10 @@ where
         let policy = options.retry;
         let cancel = options.diff.cancel.as_ref();
         let (mut delivered, mut sink) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-        'pairs: for (i, done) in delivered.iter_mut().enumerate() {
+        'pairs: for ((i, done), &(old, new)) in delivered.iter_mut().enumerate().zip(pairs) {
             if *done || policy.retry_limit() == 0 {
                 continue;
             }
-            let (old, new) = pairs[i];
             for attempt in 1..=policy.retry_limit() {
                 if cancel.is_some_and(hierdiff_guard::CancelToken::is_cancelled) {
                     report.retry_cancelled.push(i);
@@ -389,7 +396,11 @@ pub(crate) fn diff_batch_run<V: NodeValue + Send + Sync>(
 ) -> BatchRun<V> {
     let mut slots: Vec<Option<Result<DiffResult<V>, DiffError>>> =
         (0..pairs.len()).map(|_| None).collect();
-    let report = diff_batch_inner(pairs, options, |i, result| slots[i] = Some(result));
+    let report = diff_batch_inner(pairs, options, |i, result| {
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(result);
+        }
+    });
     let fallback = report
         .failures
         .first()

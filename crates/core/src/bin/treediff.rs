@@ -233,12 +233,12 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
             other => positional.push(other.to_string()),
         }
     }
-    if positional.len() != 2 {
+    let [old_path, new_path] = positional.as_slice() else {
         return Err(format!(
             "expected 2 input files, got {}\n{USAGE}",
             positional.len()
         ));
-    }
+    };
     let name = strategy_name.as_deref().unwrap_or("fastmatch");
     if name != "gumtree" {
         if let Some(flag) = gumtree_flags.first() {
@@ -258,10 +258,8 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
         rec.phase_start(Phase::Parse);
     }
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let old =
-        Tree::parse_sexpr(&read(&positional[0])?).map_err(|e| format!("{}: {e}", positional[0]))?;
-    let new =
-        Tree::parse_sexpr(&read(&positional[1])?).map_err(|e| format!("{}: {e}", positional[1]))?;
+    let old = Tree::parse_sexpr(&read(old_path)?).map_err(|e| format!("{old_path}: {e}"))?;
+    let new = Tree::parse_sexpr(&read(new_path)?).map_err(|e| format!("{new_path}: {e}"))?;
     if let Some(rec) = recorder.as_mut() {
         rec.phase_end(Phase::Parse);
     }

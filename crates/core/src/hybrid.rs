@@ -89,8 +89,10 @@ pub fn match_with_optimality<V: NodeValue>(
             zs_runs += 1;
             let zs = tree_mapping(&sub1, &sub2, &UnitCost);
             for (a, b) in zs.iter() {
-                let orig1 = map1[a.index()];
-                let orig2 = map2[b.index()];
+                let (Some(&orig1), Some(&orig2)) = (map1.get(a.index()), map2.get(b.index()))
+                else {
+                    continue;
+                };
                 if t1.label(orig1) != t2.label(orig2) {
                     continue; // the paper's ops cannot relabel
                 }

@@ -21,21 +21,6 @@ use crate::{Annotation, DeltaNode, DeltaNodeId, DeltaTree};
 
 const UNRESOLVED: DeltaNodeId = DeltaNodeId(u32::MAX);
 
-/// Blessed indexing funnels (see DESIGN.md, "Static analysis"): every
-/// arena/side-table access in the builder flows through these, keeping the
-/// S004 panic-reachability audit to two waived sites. Indices are
-/// `NodeId::index()` / `DeltaNodeId::index()` values bounded by the arena
-/// lengths the tables were sized with.
-#[inline(always)]
-fn at<T: Copy>(v: &[T], i: usize) -> T {
-    v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
-    &mut v[i] // analyze: allow(S004) the blessed funnel
-}
-
 /// Builds the delta tree for `t1` with respect to `t2`, given the original
 /// (partial) `matching` and the [`McesResult`] produced from it.
 pub fn build_delta_tree<V: NodeValue>(
@@ -66,8 +51,8 @@ pub fn build_delta_tree<V: NodeValue>(
     let mut moved = vec![false; t1.arena_len()];
     for op in result.script.iter() {
         if let EditOp::Move { node, .. } = op {
-            if node.index() < moved.len() {
-                *at_mut(&mut moved, node.index()) = true;
+            if let Some(slot) = moved.get_mut(node.index()) {
+                *slot = true;
             }
         }
     }
@@ -90,15 +75,21 @@ pub fn build_delta_tree<V: NodeValue>(
     for (mark, t1_node) in std::mem::take(&mut b.pending_marks) {
         let moved_delta =
             b.m.partner1(t1_node)
-                .and_then(|y| at(&b.t2_to_delta, y.index()));
+                .and_then(|y| b.t2_to_delta.get(y.index()).copied().flatten());
         let Some(moved_delta) = moved_delta else {
             debug_assert!(false, "marker for unmatched or unvisited node");
             continue;
         };
-        at_mut(&mut b.arena, mark.index()).annotation = Annotation::Marker { moved: moved_delta };
-        match &mut at_mut(&mut b.arena, moved_delta.index()).annotation {
-            Annotation::Moved { mark: slot, .. } => *slot = mark,
-            other => unreachable!("moved node annotated {}", other.tag()),
+        if let Some(marker) = b.arena.get_mut(mark.index()) {
+            marker.annotation = Annotation::Marker { moved: moved_delta };
+        }
+        match b
+            .arena
+            .get_mut(moved_delta.index())
+            .map(|n| &mut n.annotation)
+        {
+            Some(Annotation::Moved { mark: slot, .. }) => *slot = mark,
+            other => debug_assert!(false, "moved node annotated {other:?}"),
         }
     }
     debug_assert!(
@@ -128,6 +119,10 @@ struct Builder<'a, V: NodeValue> {
     pending_marks: Vec<(DeltaNodeId, NodeId)>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "side tables are sized to the arenas; delta ids come from `alloc`"
+)]
 impl<V: NodeValue> Builder<'_, V> {
     fn alloc(&mut self, label: Label, value: V, annotation: Annotation<V>) -> DeltaNodeId {
         assert!(
@@ -153,7 +148,7 @@ impl<V: NodeValue> Builder<'_, V> {
             None => Annotation::Inserted,
             Some(w) => {
                 let was_updated = self.t1.value(w) != self.t2.value(x);
-                if at(self.moved, w.index()) {
+                if self.moved[w.index()] {
                     Annotation::Moved {
                         mark: UNRESOLVED,
                         old: was_updated.then(|| self.t1.value(w).clone()),
@@ -168,7 +163,7 @@ impl<V: NodeValue> Builder<'_, V> {
             }
         };
         let id = self.alloc(self.t2.label(x), self.t2.value(x).clone(), annotation);
-        *at_mut(&mut self.t2_to_delta, x.index()) = Some(id);
+        self.t2_to_delta[x.index()] = Some(id);
 
         let mut children: Vec<DeltaNodeId> = self
             .t2
@@ -184,11 +179,11 @@ impl<V: NodeValue> Builder<'_, V> {
             let mut cursor = 0usize;
             for c in self.t1.children(w).to_vec() {
                 match self.m.partner1(c) {
-                    Some(y) if !at(self.moved, c.index()) && self.t2.parent(y) == Some(x) => {
+                    Some(y) if !self.moved[c.index()] && self.t2.parent(y) == Some(x) => {
                         // `y` was emitted by the child walk above; if the
                         // lookup ever failed the cursor would merely not
                         // advance past it.
-                        let dy = at(&self.t2_to_delta, y.index());
+                        let dy = self.t2_to_delta[y.index()];
                         let pos = dy.and_then(|dy| children.iter().position(|&d| d == dy));
                         if let Some(pos) = pos {
                             cursor = pos + 1;
@@ -214,7 +209,7 @@ impl<V: NodeValue> Builder<'_, V> {
                 }
             }
         }
-        at_mut(&mut self.arena, id.index()).children = children;
+        self.arena[id.index()].children = children;
         id
     }
 
@@ -244,7 +239,7 @@ impl<V: NodeValue> Builder<'_, V> {
                 }
             })
             .collect();
-        at_mut(&mut self.arena, id.index()).children = children;
+        self.arena[id.index()].children = children;
         id
     }
 }

@@ -45,13 +45,17 @@ pub fn extract_script<V: NodeValue>(delta: &DeltaTree<V>) -> Result<ExtractedScr
     let (label, value) = old_label_value(delta, delta.root());
     let mut old = Tree::new(label, value);
     let old_root = old.root();
-    old_map[delta.root().index()] = Some(old_root);
+    if let Some(slot) = old_map.get_mut(delta.root().index()) {
+        *slot = Some(old_root);
+    }
     project_old_rec(delta, delta.root(), &mut old, old_root, &mut old_map);
 
     // New projection.
     let mut new = Tree::new(delta.label(delta.root()), delta.value(delta.root()).clone());
     let new_root = new.root();
-    new_map[delta.root().index()] = Some(new_root);
+    if let Some(slot) = new_map.get_mut(delta.root().index()) {
+        *slot = Some(new_root);
+    }
     project_new_rec(delta, delta.root(), &mut new, new_root, &mut new_map);
 
     // The implied matching: every delta node alive in both states.
@@ -101,13 +105,17 @@ fn project_old_rec<V: NodeValue>(
                 let moved = *moved;
                 let (label, value) = old_label_value(delta, moved);
                 let id = out.push_child(into, label, value);
-                map[moved.index()] = Some(id);
+                if let Some(slot) = map.get_mut(moved.index()) {
+                    *slot = Some(id);
+                }
                 project_old_rec(delta, moved, out, id, map);
             }
             Annotation::Identical | Annotation::Updated { .. } | Annotation::Deleted => {
                 let (label, value) = old_label_value(delta, c);
                 let id = out.push_child(into, label, value);
-                map[c.index()] = Some(id);
+                if let Some(slot) = map.get_mut(c.index()) {
+                    *slot = Some(id);
+                }
                 project_old_rec(delta, c, out, id, map);
             }
         }
@@ -126,7 +134,9 @@ fn project_new_rec<V: NodeValue>(
             Annotation::Deleted | Annotation::Marker { .. } => continue,
             _ => {
                 let id = out.push_child(into, delta.label(c), delta.value(c).clone());
-                map[c.index()] = Some(id);
+                if let Some(slot) = map.get_mut(c.index()) {
+                    *slot = Some(id);
+                }
                 project_new_rec(delta, c, out, id, map);
             }
         }

@@ -65,6 +65,7 @@ impl<V: NodeValue> DeltaTree<V> {
 
     /// The positional path of `id` from the root, as `Label[child-index]`
     /// segments: e.g. `Document/Section[2]/Paragraph[0]/Sentence[3]`.
+    #[expect(clippy::unreachable, reason = "every non-root delta node has a parent")]
     pub fn path_of(&self, id: DeltaNodeId) -> String {
         // Walk up by scanning (delta trees store no parent pointers; paths
         // are a reporting device, not a hot path).

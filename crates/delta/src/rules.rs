@@ -132,9 +132,9 @@ impl RuleSet {
     pub fn evaluate<V: NodeValue>(&self, delta: &DeltaTree<V>) -> Vec<Firing> {
         let mut hits: Vec<Vec<DeltaNodeId>> = vec![Vec::new(); self.rules.len()];
         for id in delta.preorder() {
-            for (i, rule) in self.rules.iter().enumerate() {
+            for (rule, hit) in self.rules.iter().zip(&mut hits) {
                 if rule.matches(delta, id) {
-                    hits[i].push(id);
+                    hit.push(id);
                 }
             }
         }

@@ -205,13 +205,12 @@ impl<'a> Parser<'a> {
 
 /// Strips a trailing `%` comment (respecting `\%` escapes).
 fn strip_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && (i == 0 || bytes[i - 1] != b'\\') {
+    let mut prev = None;
+    for (i, b) in line.bytes().enumerate() {
+        if b == b'%' && prev != Some(b'\\') {
             return &line[..i];
         }
-        i += 1;
+        prev = Some(b);
     }
     line
 }

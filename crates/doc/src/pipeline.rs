@@ -195,6 +195,7 @@ pub fn ladiff(
 /// than [`LaDiffOptions::max_depth`] are rejected up front (the renderers
 /// recurse per level); budget exhaustion and cancellation from
 /// [`LaDiffOptions::budgets`] surface as [`DocError::Diff`].
+// analyze: allow(S022) the ladiff document wrapper predates the Differ facade
 pub fn diff_trees(
     old_tree: Tree<DocValue>,
     new_tree: Tree<DocValue>,
@@ -214,7 +215,9 @@ pub fn diff_trees(
         .audit(Audit::Off)
         .budget(options.budgets)
         .diff(&old_tree, &new_tree)?;
-    let Some(delta) = r.delta else {
+    #[expect(clippy::unreachable, reason = "the delta stage is on by default")]
+    let Some(delta) = r.delta
+    else {
         unreachable!("Differ::new() builds the delta tree by default")
     };
     let markup = render_latex(&delta);

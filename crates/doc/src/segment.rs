@@ -5,20 +5,6 @@
 //! blank lines) happens in the format parsers; this module handles the
 //! sentence level.
 
-/// Blessed indexing funnels (see DESIGN.md, "Static analysis"): every
-/// char-buffer access in the scanner flows through these two helpers,
-/// keeping the S004 panic-reachability audit to two waived sites. `i` and
-/// `j` are cursor positions bounded by explicit `< chars.len()` checks.
-#[inline(always)]
-fn ch(chars: &[char], i: usize) -> char {
-    chars[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn span(chars: &[char], lo: usize, hi: usize) -> &[char] {
-    &chars[lo..hi] // analyze: allow(S004) the blessed funnel
-}
-
 /// Splits a paragraph of text into sentences.
 ///
 /// A sentence ends at `.`, `!` or `?` (a run of them, allowing `?!`),
@@ -38,23 +24,24 @@ pub fn split_sentences(text: &str) -> Vec<String> {
     let mut sentences = Vec::new();
     let mut start = 0usize;
     let mut i = 0usize;
-    while i < chars.len() {
-        let c = ch(&chars, i);
+    while let Some(&c) = chars.get(i) {
         if c == '.' || c == '!' || c == '?' {
             // Consume the full terminator run plus trailing closers.
             let mut j = i;
-            while j + 1 < chars.len() && matches!(ch(&chars, j + 1), '.' | '!' | '?') {
+            while matches!(chars.get(j + 1), Some('.' | '!' | '?')) {
                 j += 1;
             }
-            while j + 1 < chars.len() && matches!(ch(&chars, j + 1), '"' | '\'' | ')' | ']' | '}') {
+            while matches!(chars.get(j + 1), Some('"' | '\'' | ')' | ']' | '}')) {
                 j += 1;
             }
-            let at_end = j + 1 >= chars.len();
-            let followed_by_space = !at_end && ch(&chars, j + 1).is_whitespace();
-            let abbreviation =
-                c == '.' && i == j && is_abbreviation(span(&chars, start, i), ABBREVIATIONS);
+            let next = chars.get(j + 1);
+            let at_end = next.is_none();
+            let followed_by_space = next.is_some_and(|c| c.is_whitespace());
+            // `start ≤ i ≤ j < chars.len()`: the spans below always exist.
+            let before = chars.get(start..i).unwrap_or_default();
+            let abbreviation = c == '.' && i == j && is_abbreviation(before, ABBREVIATIONS);
             if (at_end || followed_by_space) && !abbreviation {
-                let s: String = span(&chars, start, j + 1).iter().collect();
+                let s: String = chars.get(start..=j).unwrap_or_default().iter().collect();
                 let trimmed = s.trim();
                 if !trimmed.is_empty() {
                     sentences.push(normalize_ws(trimmed));
@@ -66,9 +53,7 @@ pub fn split_sentences(text: &str) -> Vec<String> {
             i += 1;
         }
     }
-    let tail: String = span(&chars, start.min(chars.len()), chars.len())
-        .iter()
-        .collect();
+    let tail: String = chars.get(start..).unwrap_or_default().iter().collect();
     let tail = tail.trim();
     if !tail.is_empty() {
         sentences.push(normalize_ws(tail));

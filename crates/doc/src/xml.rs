@@ -26,26 +26,6 @@ pub fn text_label() -> Label {
     Label::intern("#text")
 }
 
-/// Blessed slicing funnels: every byte and substring access in the
-/// scanner flows through these three helpers, keeping the S004
-/// panic-reachability audit to three waived sites. Every offset handed in
-/// is the position of an ASCII delimiter (`<`, `>`, `=`, a quote), hence
-/// always a char boundary.
-#[inline(always)]
-fn byte_at(bytes: &[u8], i: usize) -> u8 {
-    bytes[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn tail(s: &str, from: usize) -> &str {
-    &s[from..] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn slice(s: &str, from: usize, to: usize) -> &str {
-    &s[from..to] // analyze: allow(S004) the blessed funnel
-}
-
 /// Errors from [`parse_xml`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlError {
@@ -88,7 +68,8 @@ impl fmt::Display for XmlError {
 impl std::error::Error for XmlError {}
 
 /// Parses an XML document into the label-value tree model (see module
-/// docs).
+/// docs). Every offset the scanner slices at is the position of an ASCII
+/// delimiter (`<`, `>`, `=`, a quote), hence always a char boundary.
 pub fn parse_xml(src: &str) -> Result<Tree<DocValue>, XmlError> {
     let mut tree: Option<Tree<DocValue>> = None;
     let mut stack: Vec<NodeId> = Vec::new();
@@ -102,7 +83,7 @@ pub fn parse_xml(src: &str) -> Result<Tree<DocValue>, XmlError> {
                       start: usize,
                       end: usize|
      -> Result<(), XmlError> {
-        let raw = slice(src, start, end);
+        let raw = &src[start..end];
         let decoded = decode_entities(raw);
         let trimmed = decoded.trim();
         if trimmed.is_empty() {
@@ -118,21 +99,21 @@ pub fn parse_xml(src: &str) -> Result<Tree<DocValue>, XmlError> {
     };
 
     while i < bytes.len() {
-        if byte_at(bytes, i) != b'<' {
+        if bytes.get(i) != Some(&b'<') {
             i += 1;
             continue;
         }
         flush_text(&mut tree, &stack, text_start, i)?;
         // Comments, PIs, doctype, CDATA.
-        if tail(src, i).starts_with("<!--") {
-            let end = tail(src, i).find("-->").ok_or(XmlError::Malformed(i))?;
+        if src[i..].starts_with("<!--") {
+            let end = src[i..].find("-->").ok_or(XmlError::Malformed(i))?;
             i += end + 3;
             text_start = i;
             continue;
         }
-        if tail(src, i).starts_with("<![CDATA[") {
-            let end = tail(src, i).find("]]>").ok_or(XmlError::Malformed(i))?;
-            let content = slice(src, i + 9, i + end);
+        if src[i..].starts_with("<![CDATA[") {
+            let end = src[i..].find("]]>").ok_or(XmlError::Malformed(i))?;
+            let content = &src[i + 9..i + end];
             if let (Some(t), Some(&parent)) = (tree.as_mut(), stack.last()) {
                 if !content.trim().is_empty() {
                     t.push_child(parent, text_label(), DocValue::text(content.trim()));
@@ -142,14 +123,14 @@ pub fn parse_xml(src: &str) -> Result<Tree<DocValue>, XmlError> {
             text_start = i;
             continue;
         }
-        if tail(src, i).starts_with("<?") || tail(src, i).starts_with("<!") {
-            let end = tail(src, i).find('>').ok_or(XmlError::Malformed(i))?;
+        if src[i..].starts_with("<?") || src[i..].starts_with("<!") {
+            let end = src[i..].find('>').ok_or(XmlError::Malformed(i))?;
             i += end + 1;
             text_start = i;
             continue;
         }
-        let close = tail(src, i).find('>').ok_or(XmlError::Malformed(i))?;
-        let inner = slice(src, i + 1, i + close);
+        let close = src[i..].find('>').ok_or(XmlError::Malformed(i))?;
+        let inner = &src[i + 1..i + close];
         let after = i + close + 1;
         if let Some(name) = inner.strip_prefix('/') {
             // Closing tag.
@@ -201,7 +182,7 @@ fn parse_tag(inner: &str, at: usize) -> Result<(String, Vec<(String, String)>), 
     let name_end = inner
         .find(|c: char| c.is_whitespace())
         .unwrap_or(inner.len());
-    let name = slice(inner, 0, name_end);
+    let name = &inner[..name_end];
     if name.is_empty()
         || !name
             .chars()
@@ -210,21 +191,19 @@ fn parse_tag(inner: &str, at: usize) -> Result<(String, Vec<(String, String)>), 
         return Err(XmlError::Malformed(at));
     }
     let mut attrs = Vec::new();
-    let mut rest = tail(inner, name_end).trim_start();
+    let mut rest = inner[name_end..].trim_start();
     while !rest.is_empty() {
         let eq = rest.find('=').ok_or(XmlError::Malformed(at))?;
-        let key = slice(rest, 0, eq).trim().to_string();
-        let after_eq = tail(rest, eq + 1).trim_start();
+        let key = rest[..eq].trim().to_string();
+        let after_eq = rest[eq + 1..].trim_start();
         let quote = after_eq.chars().next().ok_or(XmlError::Malformed(at))?;
         if quote != '"' && quote != '\'' {
             return Err(XmlError::Malformed(at));
         }
-        let val_end = tail(after_eq, 1)
-            .find(quote)
-            .ok_or(XmlError::Malformed(at))?;
-        let value = decode_entities(slice(after_eq, 1, 1 + val_end));
+        let val_end = after_eq[1..].find(quote).ok_or(XmlError::Malformed(at))?;
+        let value = decode_entities(&after_eq[1..1 + val_end]);
         attrs.push((key, value));
-        rest = tail(after_eq, val_end + 2).trim_start();
+        rest = after_eq[val_end + 2..].trim_start();
     }
     Ok((name.to_string(), attrs))
 }

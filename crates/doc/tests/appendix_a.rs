@@ -19,7 +19,12 @@
 //!   footnote).
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use hierdiff_doc::{ladiff, render_html, Engine, LaDiffOptions};
 use hierdiff_matching::MatchParams;

@@ -2,7 +2,12 @@
 //! the `CARGO_BIN_EXE_ladiff` path Cargo provides to integration tests).
 
 // Harness code: a panic is how a test, bench or gate reports failure.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use std::io::Write as _;
 use std::process::Command;

@@ -78,8 +78,8 @@ pub fn invert_script<V: NodeValue>(
         }
     })?;
     for (idx, script_id) in insert_fixups {
-        if let Some(&actual) = remap.get(&script_id) {
-            inverse[idx] = EditOp::Delete { node: actual };
+        if let (Some(&actual), Some(op)) = (remap.get(&script_id), inverse.get_mut(idx)) {
+            *op = EditOp::Delete { node: actual };
         }
     }
     inverse.reverse();

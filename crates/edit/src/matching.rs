@@ -80,25 +80,19 @@ impl Matching {
         }
     }
 
-    /// The blessed table funnel: `grow` sized the table (insert), or the
-    /// one-to-one invariant guarantees the partner slot (remove1/remove2).
-    #[inline(always)]
-    fn slot(table: &mut [Option<NodeId>], idx: usize) -> &mut Option<NodeId> {
-        &mut table[idx] // analyze: allow(S004) the blessed funnel
-    }
-
     /// Adds the pair `(x, y)` — `x ∈ T1`, `y ∈ T2` — enforcing one-to-one-ness.
+    #[expect(clippy::indexing_slicing, reason = "`grow` just sized both tables")]
     pub fn insert(&mut self, x: NodeId, y: NodeId) -> Result<(), MatchingError> {
         Self::grow(&mut self.fwd, x.index());
         Self::grow(&mut self.bwd, y.index());
-        if let Some(prev) = *Self::slot(&mut self.fwd, x.index()) {
+        if let Some(prev) = self.fwd[x.index()] {
             return Err(MatchingError::AlreadyMatched1(x, prev));
         }
-        if let Some(prev) = *Self::slot(&mut self.bwd, y.index()) {
+        if let Some(prev) = self.bwd[y.index()] {
             return Err(MatchingError::AlreadyMatched2(y, prev));
         }
-        *Self::slot(&mut self.fwd, x.index()) = Some(y);
-        *Self::slot(&mut self.bwd, y.index()) = Some(x);
+        self.fwd[x.index()] = Some(y);
+        self.bwd[y.index()] = Some(x);
         self.len += 1;
         Ok(())
     }
@@ -108,7 +102,9 @@ impl Matching {
     /// nodes top-down.
     pub fn remove1(&mut self, x: NodeId) -> Option<NodeId> {
         let y = self.fwd.get_mut(x.index())?.take()?;
-        *Self::slot(&mut self.bwd, y.index()) = None;
+        if let Some(back) = self.bwd.get_mut(y.index()) {
+            *back = None;
+        }
         self.len -= 1;
         Some(y)
     }
@@ -117,7 +113,9 @@ impl Matching {
     /// partner.
     pub fn remove2(&mut self, y: NodeId) -> Option<NodeId> {
         let x = self.bwd.get_mut(y.index())?.take()?;
-        *Self::slot(&mut self.fwd, x.index()) = None;
+        if let Some(fwd) = self.fwd.get_mut(x.index()) {
+            *fwd = None;
+        }
         self.len -= 1;
         Some(x)
     }
@@ -150,10 +148,9 @@ impl Matching {
 
     /// Iterates over all pairs `(x ∈ T1, y ∈ T2)` in `T1` arena order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.fwd
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &y)| y.map(|y| (NodeId::from_index(i), y)))
+        self.fwd.iter().enumerate().filter_map(|(i, &y)| {
+            y.map(|y| (NodeId::from_index(i), y)) // analyze: allow(S043) `fwd` is indexed by T1 id
+        })
     }
 
     /// Whether `other` contains every pair of `self` (i.e. `self ⊆ other`) —

@@ -42,21 +42,6 @@ use hierdiff_tree::{isomorphic, Label, NodeId, NodeValue, Tree};
 use crate::matching::Matching;
 use crate::ops::{EditOp, EditScript};
 
-/// Blessed indexing funnels (see DESIGN.md, "Static analysis"): every
-/// access to the in-order flag vectors flows through these, keeping the
-/// S004 panic-reachability audit to two waived sites. Indices are
-/// `NodeId::index()` values bounded by the arena length the vectors were
-/// sized with (or resized to by `set_ord1`/`set_ord2`).
-#[inline(always)]
-fn at<T: Copy>(v: &[T], i: usize) -> T {
-    v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
-    &mut v[i] // analyze: allow(S004) the blessed funnel
-}
-
 /// Label used for the dummy roots added when the input roots are unmatched.
 pub const DUMMY_ROOT_LABEL: &str = "\u{27E8}root\u{27E9}"; // ⟨root⟩
 
@@ -233,6 +218,7 @@ pub fn edit_script<V: NodeValue>(
     match edit_script_guarded(t1, t2, matching, &Guard::unlimited()) {
         Ok(result) => Ok(result),
         Err(EditScriptError::Mces(e)) => Err(e),
+        #[expect(clippy::unreachable, reason = "an unlimited guard never trips")]
         Err(EditScriptError::Guard(_)) => unreachable!("an unlimited guard cannot trip"),
     }
 }
@@ -336,6 +322,11 @@ struct Generator<'t, V> {
     degraded: bool,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "in-order flags are sized to the arenas (or grown by `set_ord*`); LCS pairs index \
+              the S1/S2 sequences they came from"
+)]
 impl<V: NodeValue> Generator<'_, V> {
     fn run(&mut self) -> Result<(), EditScriptError> {
         // Roots are matched (by the caller's wrapping); mark them in order.
@@ -398,7 +389,7 @@ impl<V: NodeValue> Generator<'_, V> {
         if idx >= self.ord1.len() {
             self.ord1.resize(idx + 1, false);
         }
-        *at_mut(&mut self.ord1, idx) = v;
+        self.ord1[idx] = v;
     }
 
     fn is_ord1(&self, id: NodeId) -> bool {
@@ -410,7 +401,7 @@ impl<V: NodeValue> Generator<'_, V> {
         if idx >= self.ord2.len() {
             self.ord2.resize(idx + 1, false);
         }
-        *at_mut(&mut self.ord2, idx) = v;
+        self.ord2[idx] = v;
     }
 
     fn is_ord2(&self, id: NodeId) -> bool {
@@ -488,16 +479,16 @@ impl<V: NodeValue> Generator<'_, V> {
 
     /// Function *AlignChildren(w, x)* of Figure 9.
     fn align_children(&mut self, w: NodeId, x: NodeId) -> Result<(), EditScriptError> {
-        // 1. Mark all children of w and x "out of order". (Direct funnel
-        //    writes rather than set_ord1/set_ord2: the child-list borrow
-        //    rules out `&mut self`, and children already have flag slots.)
+        // 1. Mark all children of w and x "out of order". (Direct writes
+        //    rather than set_ord1/set_ord2: the child-list borrow rules out
+        //    `&mut self`, and children already have flag slots.)
         for &c in self.work.children(w) {
             self.guard.tick()?;
-            *at_mut(&mut self.ord1, c.index()) = false;
+            self.ord1[c.index()] = false;
         }
         for &c in self.t2.children(x) {
             self.guard.tick()?;
-            *at_mut(&mut self.ord2, c.index()) = false;
+            self.ord2[c.index()] = false;
         }
         // 2. S1 = children of w whose partners are children of x; S2 vice
         //    versa.
@@ -551,16 +542,16 @@ impl<V: NodeValue> Generator<'_, V> {
         let mut in_lcs2 = vec![false; s2.len()];
         for &(i, j) in &common {
             self.guard.tick()?;
-            self.set_ord1(at(&s1, i), true);
-            self.set_ord2(at(&s2, j), true);
-            *at_mut(&mut in_lcs2, j) = true;
+            self.set_ord1(s1[i], true);
+            self.set_ord2(s2[j], true);
+            in_lcs2[j] = true;
         }
         // 6. Move every matched-but-not-in-LCS child into place, processing
         //    S2 (T2 order) left to right so positions are well defined.
         let mut moved_any = false;
         for (j, &b) in s2.iter().enumerate() {
             self.guard.tick()?;
-            if at(&in_lcs2, j) {
+            if in_lcs2[j] {
                 continue;
             }
             let a = self

@@ -93,6 +93,10 @@ impl FaultSite {
 
     /// Draws the next site from a splitmix64 stream, uniformly over all
     /// [`COUNT`](FaultSite::COUNT) sites. Advances `state`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < COUNT` splits over the two tables"
+    )]
     pub fn choose(state: &mut u64) -> FaultSite {
         let r = splitmix64(state) as usize % FaultSite::COUNT;
         let phase_edges = Phase::ALL.len() * 2;

@@ -29,6 +29,10 @@ impl<T> SeqEdit<T> {
 
 /// Decomposes `(old, new)` into maximal Keep/Delete/Insert runs, in output
 /// order (deletions before insertions at each change point).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "LCS pairs are in range and strictly increasing, so the cursors never pass them"
+)]
 pub fn sequence_diff<T: Clone + PartialEq>(old: &[T], new: &[T]) -> Vec<SeqEdit<T>> {
     let pairs: Vec<Pair> = lcs(old, new, |a, b| a == b);
     let mut out: Vec<SeqEdit<T>> = Vec::new();

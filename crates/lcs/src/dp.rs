@@ -8,6 +8,10 @@
 use crate::Pair;
 
 /// LCS by dynamic programming. See [`crate::lcs`] for the contract.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i ≤ n and j ≤ m index the (n + 1)·(m + 1) table and, less one, the inputs"
+)]
 pub fn lcs_dp<T, U>(a: &[T], b: &[U], mut equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
     let n = a.len();
     let m = b.len();

@@ -115,8 +115,9 @@ pub fn is_common_subsequence<T, U>(
 ) -> bool {
     let mut last: Option<Pair> = None;
     for &(i, j) in pairs {
-        if i >= a.len() || j >= b.len() || !equal(&a[i], &b[j]) {
-            return false;
+        match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if equal(x, y) => {}
+            _ => return false,
         }
         if let Some((pi, pj)) = last {
             if i <= pi || j <= pj {

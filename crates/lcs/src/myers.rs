@@ -15,26 +15,6 @@ use hierdiff_guard::{Guard, GuardError};
 
 use crate::{LcsStats, Pair};
 
-/// Blessed indexing funnels (`#[inline(always)]`, so codegen is identical
-/// to direct indexing): every frontier/input access flows through these,
-/// keeping the S004 panic-reachability audit to three waived sites. All
-/// indices are `k + offset` diagonals bounded by the `2·max + 1` frontier
-/// allocation.
-#[inline(always)]
-fn at<T: Copy>(v: &[T], i: usize) -> T {
-    v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_ref<T>(v: &[T], i: usize) -> &T {
-    &v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
-    &mut v[i] // analyze: allow(S004) the blessed funnel
-}
-
 /// LCS via Myers' greedy O(ND) algorithm. See [`crate::lcs`] for the
 /// contract.
 pub fn lcs_myers<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
@@ -53,6 +33,7 @@ pub fn lcs_myers_counted<T, U>(
 ) -> Vec<Pair> {
     match myers_governed(a, b, equal, stats, None) {
         Ok(pairs) => pairs,
+        #[expect(clippy::unreachable, reason = "no guard, nothing to trip")]
         Err(_) => unreachable!("ungoverned Myers cannot trip a guard"),
     }
 }
@@ -74,6 +55,11 @@ pub fn lcs_myers_guarded<T, U>(
     myers_governed(a, b, equal, stats, Some(guard))
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "frontier indices are `k + offset` diagonals inside the `2·max + 1` allocation; \
+              x < n and y < m bound the input reads"
+)]
 fn myers_governed<T, U>(
     a: &[T],
     b: &[U],
@@ -124,10 +110,10 @@ fn myers_governed<T, U>(
                 }
             }
             let idx = (k + offset) as usize;
-            let mut x = if k == -d || (k != d && at(&v, idx - 1) < at(&v, idx + 1)) {
-                at(&v, idx + 1) // move down (insertion into `a`'s view)
+            let mut x = if k == -d || (k != d && v[idx - 1] < v[idx + 1]) {
+                v[idx + 1] // move down (insertion into `a`'s view)
             } else {
-                at(&v, idx - 1) + 1 // move right (deletion)
+                v[idx - 1] + 1 // move right (deletion)
             };
             let mut y = x - k;
             while x < n && y < m {
@@ -138,13 +124,13 @@ fn myers_governed<T, U>(
                         break 'outer;
                     }
                 }
-                if !equal(at_ref(a, x as usize), at_ref(b, y as usize)) {
+                if !equal(&a[x as usize], &b[y as usize]) {
                     break;
                 }
                 x += 1;
                 y += 1;
             }
-            *at_mut(&mut v, idx) = x;
+            v[idx] = x;
             if x >= n && y >= m {
                 trace.push(compact(&v, d, offset));
                 found_d = Some(d);
@@ -163,6 +149,7 @@ fn myers_governed<T, U>(
     }
     let d_final = match found_d {
         Some(d) => d,
+        #[expect(clippy::unreachable, reason = "round n + m always reaches (n, m)")]
         None => unreachable!("D is bounded by n + m, so the loop always terminates"),
     };
 
@@ -176,7 +163,7 @@ fn myers_governed<T, U>(
     while d > 0 {
         // analyze: allow(S030) bounded backtrack over stored frontiers
         let k = x - y;
-        let prev = at_ref(&trace, (d - 1) as usize);
+        let prev = &trace[(d - 1) as usize];
         let reach = |kk: isize| -> isize {
             let i = kk + (d - 1);
             if i < 0 || i >= prev.len() as isize {
@@ -184,7 +171,7 @@ fn myers_governed<T, U>(
                 // it never wins the max comparison.
                 -1
             } else {
-                at(prev, i as usize)
+                prev[i as usize]
             }
         };
         let prev_k = if k == -d || (k != d && reach(k - 1) < reach(k + 1)) {
@@ -227,10 +214,11 @@ fn myers_governed<T, U>(
 
 /// Extracts diagonals −d..=d from the working frontier into a compact
 /// vector indexed by `k + d`.
+#[expect(clippy::indexing_slicing, reason = "±d diagonals exist after round d")]
 fn compact(v: &[isize], d: isize, offset: isize) -> Vec<isize> {
     let lo = (-d + offset) as usize;
     let hi = (d + offset) as usize;
-    v[lo..=hi].to_vec() // analyze: allow(S004) ±d diagonals exist after round d
+    v[lo..=hi].to_vec()
 }
 
 #[cfg(test)]

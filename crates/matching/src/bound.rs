@@ -17,19 +17,6 @@ use crate::simple::{label_chains, MatchResult};
 /// unmatched opposite-chain nodes each node may be compared against.
 pub const GREEDY_WINDOW: usize = 64;
 
-/// The blessed chain funnel: callers bounds-check `i` against the
-/// chain's length before indexing.
-#[inline(always)]
-fn at(chain: &[NodeId], i: usize) -> NodeId {
-    chain[i] // analyze: allow(S004) the blessed funnel
-}
-
-/// The tail counterpart of [`at`]: `i` is at most `chain.len()`.
-#[inline(always)]
-fn tail(chain: &[NodeId], i: usize) -> &[NodeId] {
-    &chain[i..] // analyze: allow(S004) the blessed funnel
-}
-
 /// The bounded greedy matcher — the degraded tier of the matching ladder.
 ///
 /// Walks each per-label chain in document order and pairs every node with
@@ -60,7 +47,7 @@ pub fn bounded_greedy_match<V: NodeValue>(
     guard: &Guard,
     window: usize,
 ) -> Result<MatchResult, MatchError> {
-    let classes = LabelClasses::classify(t1, t2);
+    let classes = LabelClasses::classify_guarded(t1, t2, guard)?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     let mut m = seed;
     let chains1 = label_chains(t1);
@@ -88,15 +75,15 @@ pub fn bounded_greedy_match<V: NodeValue>(
                 if m.is_matched1(x) {
                     continue;
                 }
-                while start < s2.len() && m.is_matched2(at(s2, start)) {
+                while s2.get(start).is_some_and(|&y| m.is_matched2(y)) {
                     guard.tick()?;
                     start += 1;
                 }
-                if start >= s2.len() {
+                let Some(rest) = s2.get(start..).filter(|rest| !rest.is_empty()) else {
                     break;
-                }
+                };
                 let mut scanned = 0usize;
-                for &y in tail(s2, start) {
+                for &y in rest {
                     if scanned >= window {
                         break;
                     }

@@ -20,26 +20,6 @@ use hierdiff_tree::{Intervals, NodeId, NodeValue, Tree};
 
 use crate::schema::LabelClasses;
 
-/// Blessed indexing funnels (see DESIGN.md, "Static analysis"): every
-/// leaf-range table access flows through these, keeping the S004
-/// panic-reachability audit to three waived sites. Indices are
-/// `NodeId::index()` values bounded by the arena length the table was
-/// sized with; range endpoints come from the same table.
-#[inline(always)]
-fn at<T: Copy>(v: &[T], i: usize) -> T {
-    v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
-    &mut v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn span<T>(v: &[T], lo: usize, hi: usize) -> &[T] {
-    &v[lo..hi] // analyze: allow(S004) the blessed funnel
-}
-
 /// Parameters of the matching criteria.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MatchParams {
@@ -146,6 +126,10 @@ pub struct LeafRanges {
     range: Vec<(u32, u32)>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`range` is sized to `arena_len()`; its slices are endpoints into `order`"
+)]
 impl LeafRanges {
     /// Computes leaf ranges. A node counts as a leaf iff it is childless
     /// *and* bears a leaf label per `classes` — a childless internal-label
@@ -159,14 +143,14 @@ impl LeafRanges {
         while let Some((id, done)) = stack.pop() {
             // analyze: allow(S031) O(n) leaf-range precompute before the governed match loops
             if done {
-                let start = at(&range, id.index()).0;
-                *at_mut(&mut range, id.index()) = (start, order.len() as u32);
+                let start = range[id.index()].0;
+                range[id.index()] = (start, order.len() as u32);
                 continue;
             }
-            at_mut(&mut range, id.index()).0 = order.len() as u32;
+            range[id.index()].0 = order.len() as u32;
             if tree.is_leaf(id) && classes.is_leaf_label(tree.label(id)) {
                 order.push(id);
-                *at_mut(&mut range, id.index()) = (order.len() as u32 - 1, order.len() as u32);
+                range[id.index()] = (order.len() as u32 - 1, order.len() as u32);
             } else {
                 stack.push((id, true));
                 for &c in tree.children(id).iter().rev() {
@@ -180,13 +164,13 @@ impl LeafRanges {
 
     /// The leaves contained in `node`, in document order.
     pub fn leaves_of(&self, node: NodeId) -> &[NodeId] {
-        let (s, e) = at(&self.range, node.index());
-        span(&self.order, s as usize, e as usize)
+        let (s, e) = self.range[node.index()];
+        &self.order[s as usize..e as usize]
     }
 
     /// `|node|` — the number of leaves contained in `node`.
     pub fn count(&self, node: NodeId) -> usize {
-        let (s, e) = at(&self.range, node.index());
+        let (s, e) = self.range[node.index()];
         (e - s) as usize
     }
 }

@@ -89,8 +89,7 @@ fn fast_match_governed<V: NodeValue>(
     // The setup passes are each O(N); checkpoints between them bound how
     // long a fired cancel token or expired deadline can go unnoticed on
     // very large inputs (the per-label loops below tick per element).
-    let classes = LabelClasses::classify(t1, t2);
-    guard.checkpoint()?;
+    let classes = LabelClasses::classify_guarded(t1, t2, guard)?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     guard.checkpoint()?;
     let mut m = seed;
@@ -163,7 +162,11 @@ fn fast_match_governed<V: NodeValue>(
             // increasing — a rejected insert is an invariant bug).
             for &(i, j) in &pairs {
                 guard.tick()?;
-                m.insert(s1[i], s2[j]) // analyze: allow(S004) LCS pairs index into the chains they came from
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "LCS pairs index the chains they came from"
+                )]
+                m.insert(s1[i], s2[j])
                     .map_err(|_| MatchError::Internal("LCS pair already matched"))?;
             }
             // 2e. Pair remaining unmatched nodes as in Algorithm Match.

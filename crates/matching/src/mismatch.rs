@@ -109,7 +109,9 @@ pub fn mismatch_upper_bound<V: NodeValue>(
     let report = check_criterion3(t1, t2);
     let mut violating = vec![false; t1.arena_len()];
     for &x in &report.violating1 {
-        violating[x.index()] = true;
+        if let Some(v) = violating.get_mut(x.index()) {
+            *v = true;
+        }
     }
     let t = params.inner_threshold;
 
@@ -132,7 +134,7 @@ pub fn mismatch_upper_bound<V: NodeValue>(
         let v = ranges
             .leaves_of(x)
             .iter()
-            .filter(|&&w| violating[w.index()])
+            .filter(|&&w| violating.get(w.index()).copied().unwrap_or(false))
             .count();
         if v as f64 > (1.0 - t) * size as f64 {
             potential += 1;

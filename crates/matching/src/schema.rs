@@ -13,31 +13,13 @@
 //! [`check_acyclic`] reports any cycle that remains.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
+use hierdiff_guard::{Guard, GuardError};
 use hierdiff_tree::{Label, NodeValue, Tree};
 
 use crate::error::MatchError;
-
-/// The blessed dense-height funnel: `heights` is sized to `arena_len()`
-/// and every id comes from the same tree's traversal.
-#[inline(always)]
-fn height_of(heights: &[usize], idx: usize) -> usize {
-    heights[idx] // analyze: allow(S004) the blessed funnel
-}
-
-/// The mutable counterpart of [`height_of`].
-#[inline(always)]
-fn height_slot(heights: &mut [usize], idx: usize) -> &mut usize {
-    &mut heights[idx] // analyze: allow(S004) the blessed funnel
-}
-
-/// The blessed map funnel: classification seeded every label it later
-/// reads back.
-#[inline(always)]
-fn seeded<'a, T>(map: &'a HashMap<Label, T>, l: &Label) -> &'a T {
-    &map[l] // analyze: allow(S004) the blessed funnel
-}
 
 /// Classification of the labels appearing in a tree pair, with the
 /// bottom-up processing order used by Algorithms *Match* and *FastMatch*.
@@ -55,52 +37,73 @@ impl LabelClasses {
     /// height, so that processing them in order visits the hierarchy
     /// bottom-up (paragraphs before sections before documents).
     pub fn classify<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> LabelClasses {
-        // max height per label, and whether any bearer is internal.
-        let mut max_height: HashMap<Label, usize> = HashMap::new();
-        let mut any_internal: HashMap<Label, bool> = HashMap::new();
+        let Ok(classes) = Self::classify_ticked(t1, t2, || Ok::<(), Infallible>(()));
+        classes
+    }
+
+    /// [`classify`](Self::classify) under resource governance: `guard` is
+    /// ticked per node, so a fired cancel token or an expired deadline
+    /// stops the O(n) pass at the usual stride.
+    pub fn classify_guarded<V: NodeValue>(
+        t1: &Tree<V>,
+        t2: &Tree<V>,
+        guard: &Guard,
+    ) -> Result<LabelClasses, GuardError> {
+        Self::classify_ticked(t1, t2, || guard.tick())
+    }
+
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`heights` is sized to `arena_len()` and indexed by the same tree's ids"
+    )]
+    fn classify_ticked<V: NodeValue, E>(
+        t1: &Tree<V>,
+        t2: &Tree<V>,
+        mut tick: impl FnMut() -> Result<(), E>,
+    ) -> Result<LabelClasses, E> {
+        // Per label: max bearer height, and whether any bearer is internal.
+        let mut info: HashMap<Label, (usize, bool)> = HashMap::new();
         let mut seen_order: Vec<Label> = Vec::new();
         for tree in [t1, t2] {
-            // analyze: allow(S031) O(n) label-classification pre-pass
             // Dense per-node heights in one postorder pass (Tree::height
             // recomputes recursively per call — O(subtree) each).
             let mut heights = vec![0usize; tree.arena_len()];
             for id in tree.postorder() {
-                // analyze: allow(S031) O(n) height pass
+                tick()?;
                 let h = tree
                     .children(id)
                     .iter()
-                    .map(|&c| height_of(&heights, c.index()) + 1)
+                    .map(|&c| heights[c.index()] + 1)
                     .max()
                     .unwrap_or(0);
-                *height_slot(&mut heights, id.index()) = h;
+                heights[id.index()] = h;
             }
             for id in tree.preorder() {
-                // analyze: allow(S031) O(n) label scan
+                tick()?;
                 let l = tree.label(id);
-                let h = height_of(&heights, id.index());
-                let e = max_height.entry(l).or_insert_with(|| {
+                let e = info.entry(l).or_insert_with(|| {
                     seen_order.push(l);
-                    0
+                    (0, false)
                 });
-                *e = (*e).max(h);
-                *any_internal.entry(l).or_insert(false) |= !tree.is_leaf(id);
+                e.0 = e.0.max(heights[id.index()]);
+                e.1 |= !tree.is_leaf(id);
             }
         }
         let mut leaf_labels = Vec::new();
-        let mut internal_labels = Vec::new();
-        for &l in &seen_order {
-            // analyze: allow(S031) bounded by distinct labels
-            if *seeded(&any_internal, &l) {
-                internal_labels.push(l);
-            } else {
-                leaf_labels.push(l);
+        let mut internal: Vec<(usize, Label)> = Vec::new();
+        for l in seen_order {
+            tick()?;
+            match info.get(&l) {
+                Some(&(h, true)) => internal.push((h, l)),
+                _ => leaf_labels.push(l),
             }
         }
-        internal_labels.sort_by_key(|l| *seeded(&max_height, l));
-        LabelClasses {
+        // Stable: equal heights keep first-seen order.
+        internal.sort_by_key(|&(h, _)| h);
+        Ok(LabelClasses {
             leaf_labels,
-            internal_labels,
-        }
+            internal_labels: internal.into_iter().map(|(_, l)| l).collect(),
+        })
     }
 
     /// Number of internal-node labels — the `l` in the FastMatch running-time
@@ -192,11 +195,12 @@ pub fn check_acyclic<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> Result<Vec<Lab
                 State::Gray => {
                     // A gray node is by construction on the DFS path; its
                     // absence would be an invariant bug, reported as data.
-                    let start = path
+                    let mut cyc: Vec<Label> = path
                         .iter()
                         .position(|&p| p == c)
-                        .ok_or(MatchError::Internal("gray label missing from DFS path"))?;
-                    let mut cyc: Vec<Label> = path[start..].to_vec();
+                        .and_then(|start| path.get(start..))
+                        .ok_or(MatchError::Internal("gray label missing from DFS path"))?
+                        .to_vec();
                     cyc.push(c);
                     return Err(MatchError::Cycle(LabelCycle { labels: cyc }));
                 }
@@ -211,7 +215,7 @@ pub fn check_acyclic<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> Result<Vec<Lab
 
     let mut path = Vec::new();
     for &l in &labels {
-        if state[&l] == State::White {
+        if state.get(&l) == Some(&State::White) {
             visit(l, &edges, &mut state, &mut order, &mut path)?;
         }
     }

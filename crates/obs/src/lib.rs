@@ -41,27 +41,6 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Blessed indexing funnels: every phase/counter-indexed array access in
-/// the recorder flows through these three helpers, keeping the S004
-/// panic-reachability audit to three waived sites. Indices come from
-/// `Phase::index()` / `Counter::index()`, which are bounded by the `ALL`
-/// tables that size the arrays, or from bucket math clamped to
-/// `HIST_BUCKETS`.
-#[inline(always)]
-fn at<T: Copy>(v: &[T], i: usize) -> T {
-    v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_ref<T>(v: &[T], i: usize) -> &T {
-    &v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
-    &mut v[i] // analyze: allow(S004) the blessed funnel
-}
-
 /// A stage of the change-detection pipeline, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -303,11 +282,10 @@ impl Counter {
         }
     }
 
+    /// Position in [`Counter::ALL`], which lists the variants in
+    /// declaration order.
     fn index(self) -> usize {
-        match Counter::ALL.iter().position(|&c| c == self) {
-            Some(i) => i,
-            None => unreachable!("ALL is exhaustive"),
-        }
+        self as usize
     }
 }
 
@@ -426,7 +404,9 @@ impl DurationHistogram {
         } else {
             (63 - nanos.leading_zeros() as usize).min(HIST_BUCKETS - 1)
         };
-        *at_mut(&mut self.buckets, bucket) += 1;
+        if let Some(b) = self.buckets.get_mut(bucket) {
+            *b += 1;
+        }
     }
 
     /// Total recorded spans.
@@ -439,8 +419,8 @@ impl DurationHistogram {
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
-        for (i, &c) in other.buckets.iter().enumerate() {
-            *at_mut(&mut self.buckets, i) += c;
+        for (mine, &c) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += c;
         }
     }
 
@@ -555,6 +535,7 @@ impl DiffProfile {
     pub fn to_json(&self) -> String {
         match serde_json::to_string_pretty(self) {
             Ok(s) => s,
+            #[expect(clippy::unreachable, reason = "strings and integers always serialize")]
             Err(_) => unreachable!("DiffProfile serialization cannot fail"),
         }
     }
@@ -611,11 +592,17 @@ impl std::fmt::Display for DiffProfile {
 /// [`DiffProfile`].
 #[derive(Clone, Debug)]
 pub struct Recorder {
-    open: [Option<Instant>; Phase::ALL.len()],
-    nanos: [u64; Phase::ALL.len()],
-    entries: [u64; Phase::ALL.len()],
-    histograms: Vec<DurationHistogram>,
+    phases: [PhaseSlot; Phase::ALL.len()],
     counters: [u64; Counter::ALL.len()],
+}
+
+/// One phase's accumulated spans, indexed by [`Phase::index`].
+#[derive(Clone, Debug)]
+struct PhaseSlot {
+    open: Option<Instant>,
+    nanos: u64,
+    entries: u64,
+    histogram: DurationHistogram,
 }
 
 impl Default for Recorder {
@@ -628,40 +615,41 @@ impl Recorder {
     /// A fresh recorder.
     pub fn new() -> Recorder {
         Recorder {
-            open: [None; Phase::ALL.len()],
-            nanos: [0; Phase::ALL.len()],
-            entries: [0; Phase::ALL.len()],
-            histograms: vec![DurationHistogram::new(); Phase::ALL.len()],
+            phases: std::array::from_fn(|_| PhaseSlot {
+                open: None,
+                nanos: 0,
+                entries: 0,
+                histogram: DurationHistogram::new(),
+            }),
             counters: [0; Counter::ALL.len()],
         }
     }
 
     /// Current value of one counter.
     pub fn counter(&self, counter: Counter) -> u64 {
-        at(&self.counters, counter.index())
+        self.counters.get(counter.index()).copied().unwrap_or(0)
     }
 
     /// Exports the profile accumulated so far. Phases never entered are
     /// omitted; all counters are present (zeros included).
     pub fn profile(&self) -> DiffProfile {
-        let mut phases = Vec::new();
-        for phase in Phase::ALL {
-            let i = phase.index();
-            if at(&self.entries, i) == 0 {
-                continue;
-            }
-            phases.push(PhaseTiming {
+        let phases = Phase::ALL
+            .iter()
+            .zip(&self.phases)
+            .filter(|(_, slot)| slot.entries > 0)
+            .map(|(phase, slot)| PhaseTiming {
                 phase: phase.name().to_string(),
-                nanos: at(&self.nanos, i),
-                entries: at(&self.entries, i),
-                histogram: at_ref(&self.histograms, i).clone(),
-            });
-        }
+                nanos: slot.nanos,
+                entries: slot.entries,
+                histogram: slot.histogram.clone(),
+            })
+            .collect();
         let counters = Counter::ALL
             .iter()
-            .map(|&c| CounterSample {
+            .zip(self.counters)
+            .map(|(c, value)| CounterSample {
                 name: c.name().to_string(),
-                value: at(&self.counters, c.index()),
+                value,
             })
             .collect();
         DiffProfile { phases, counters }
@@ -670,27 +658,43 @@ impl Recorder {
 
 impl PipelineObserver for Recorder {
     fn phase_start(&mut self, phase: Phase) {
-        *at_mut(&mut self.open, phase.index()) = Some(Instant::now());
+        if let Some(slot) = self.phases.get_mut(phase.index()) {
+            slot.open = Some(Instant::now());
+        }
     }
 
     fn phase_end(&mut self, phase: Phase) {
-        let i = phase.index();
-        if let Some(t0) = at_mut(&mut self.open, i).take() {
+        let Some(slot) = self.phases.get_mut(phase.index()) else {
+            return;
+        };
+        if let Some(t0) = slot.open.take() {
             let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            *at_mut(&mut self.nanos, i) += ns;
-            *at_mut(&mut self.entries, i) += 1;
-            at_mut(&mut self.histograms, i).record(ns);
+            slot.nanos += ns;
+            slot.entries += 1;
+            slot.histogram.record(ns);
         }
     }
 
     fn add(&mut self, counter: Counter, amount: u64) {
-        *at_mut(&mut self.counters, counter.index()) += amount;
+        if let Some(c) = self.counters.get_mut(counter.index()) {
+            *c += amount;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{p:?}");
+        }
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+    }
 
     #[test]
     fn recorder_accumulates_spans_and_counters() {

@@ -207,6 +207,7 @@ impl DiffService {
         // The whole caller-side path is crash-isolated: chaos panics at
         // the Admit/Respond boundaries surface as typed errors, never as
         // an unwinding caller.
+        // analyze: allow(S053) the per-attempt boundary in `process` already quarantines the touched entries; this one only types the panic
         let outcome = catch_unwind(AssertUnwindSafe(|| self.submit(doc, old, new, deadline)));
         let result = outcome.unwrap_or(Err(ServeError::Panicked { attempts: 0 }));
         self.shared.stats(|s| match &result {

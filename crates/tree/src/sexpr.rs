@@ -75,7 +75,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
+        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
@@ -115,9 +115,14 @@ impl<'a> Parser<'a> {
                 None => Err(SexprError::UnexpectedEof),
             };
         }
-        #[expect(clippy::expect_used, reason = "labels end at an ASCII delimiter")]
-        let s = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("label bytes validated as ASCII-safe boundaries");
+        let s = self
+            .src
+            .get(start..self.pos)
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .ok_or(SexprError::Unexpected {
+                at: start,
+                found: '\u{FFFD}',
+            })?;
         Ok(Label::intern(s))
     }
 
@@ -157,14 +162,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar (possibly multi-byte).
-                    let rest = std::str::from_utf8(&self.src[self.pos..]).map_err(|_| {
-                        SexprError::Unexpected {
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| std::str::from_utf8(rest).ok())
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or(SexprError::Unexpected {
                             at: self.pos,
                             found: '\u{FFFD}',
-                        }
-                    })?;
-                    #[expect(clippy::expect_used, reason = "peek() just saw a byte")]
-                    let ch = rest.chars().next().expect("non-empty rest");
+                        })?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }

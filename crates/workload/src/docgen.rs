@@ -103,7 +103,8 @@ pub fn generate_document(seed: u64, profile: &DocProfile) -> Tree<DocValue> {
             let (slo, shi) = profile.sentences_per_paragraph;
             for _ in 0..rng.gen_range(slo..=shi) {
                 let text = if !produced.is_empty() && rng.gen_bool(profile.duplicate_rate) {
-                    produced[rng.gen_range(0..produced.len())].clone()
+                    let i = rng.gen_range(0..produced.len());
+                    produced.get(i).cloned().unwrap_or_default()
                 } else {
                     let t = random_sentence(&mut rng, profile);
                     produced.push(t.clone());

@@ -229,7 +229,7 @@ fn pick(rng: &mut StdRng, v: &[NodeId]) -> Option<NodeId> {
     if v.is_empty() {
         None
     } else {
-        Some(v[rng.gen_range(0..v.len())])
+        v.get(rng.gen_range(0..v.len())).copied()
     }
 }
 
@@ -320,7 +320,9 @@ fn apply_one(
             return false;
         };
         let kids: Vec<NodeId> = t.children(p).to_vec();
-        let s = kids[rng.gen_range(0..kids.len())];
+        let Some(s) = pick(rng, &kids) else {
+            return false;
+        };
         let Some(old_pos) = t.position(s) else {
             return false;
         };
@@ -395,7 +397,9 @@ fn apply_one(
         if secs.len() < 2 {
             return false;
         }
-        let s = secs[rng.gen_range(0..secs.len())];
+        let Some(s) = pick(rng, &secs) else {
+            return false;
+        };
         let root = t.root();
         let arity = t.arity(root) - 1;
         let pos = rng.gen_range(0..=arity);
@@ -422,7 +426,9 @@ fn rewrite_words(sentence: &str, rng: &mut StdRng, profile: &DocProfile) -> Stri
     let mut out = toks;
     for _ in 0..replacements {
         let i = rng.gen_range(0..out.len());
-        out[i] = format!("w{}", rng.gen_range(0..profile.vocabulary));
+        if let Some(tok) = out.get_mut(i) {
+            *tok = format!("w{}", rng.gen_range(0..profile.vocabulary));
+        }
     }
     let mut s = out.join(" ");
     s.push('.');

@@ -66,7 +66,9 @@ pub fn generate_trace(profile: &TraceProfile, chain_lens: &[usize]) -> Vec<Trace
     let mut rng = StdRng::seed_from_u64(profile.seed ^ 0x0a57_7ace);
     let mut out = Vec::with_capacity(profile.requests);
     for _ in 0..profile.requests {
-        let (doc, n) = eligible[rng.gen_range(0..eligible.len())];
+        let Some(&(doc, n)) = eligible.get(rng.gen_range(0..eligible.len())) else {
+            continue;
+        };
         let adjacent = n < 3 || rng.gen_range(0..100u8) < profile.adjacent_pct.min(100);
         let (old, new) = if adjacent {
             let old = rng.gen_range(0..n - 1);

@@ -1,21 +1,19 @@
 //! Workspace automation tasks (`cargo run -p xtask -- <task>`).
 //!
-//! * `analyze` — the `S0xx` token-level analyzer: panic reachability from
-//!   the pipeline entrypoints, hot-loop and guard-coverage discipline,
-//!   arena discipline, concurrency discipline, and public-API surface
-//!   snapshots under `api/`, with a burn-down allowlist at
-//!   `crates/xtask/analyze-allow.txt`.
-//! * `ratchet` — ceilings over that allowlist (total and per code) in
-//!   `crates/xtask/ratchet.txt`; the burn-down list may only shrink.
+//! * `analyze` — the `S0xx` token-level analyzer: hot-loop and
+//!   guard-coverage discipline, arena discipline, concurrency discipline,
+//!   and public-API surface snapshots under `api/`. Any finding without an
+//!   inline `// analyze: allow(CODE) reason` waiver fails, and so does a
+//!   waiver that suppresses nothing.
 //!
 //! The engine lives in `hierdiff-analyze`; this binary is argument
-//! parsing and file I/O. The unwrap/expect/panic/todo and `unsafe` policy
-//! is not here: rustc and clippy enforce it through the root manifest's
-//! `[workspace.lints]`, and a unit test below keeps every crate opted in.
+//! parsing and file I/O. The unwrap/expect/panic/indexing and `unsafe`
+//! policy is not here: rustc and clippy enforce it through the root
+//! manifest's `[workspace.lints]`, and a unit test below keeps every
+//! crate opted in.
 //! See DESIGN.md ("Diagnostics & static analysis") for how the `S0xx`
 //! codes relate to the runtime `A0xx` audit codes.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -23,26 +21,17 @@ use hierdiff_analyze as analyze;
 
 const USAGE: &str = "usage: cargo run -p xtask -- <task>\n\
 \n\
-  analyze              run the S0xx analyzer (panic reachability, hot loops,\n\
-                       guard coverage, arenas, concurrency, API surface)\n\
-                       and compare against crates/xtask/analyze-allow.txt;\n\
-                       new offences and stale allowlist entries both fail\n\
+  analyze              run the S0xx analyzer (hot loops, guard coverage,\n\
+                       arenas, concurrency, API surface, unused waivers);\n\
+                       any finding fails\n\
   analyze --json PATH      additionally write the JSON report to PATH\n\
   analyze --check-api      only check api/*.txt snapshots for drift\n\
   analyze --write-api      regenerate api/*.txt from the current sources\n\
-  analyze --write-allowlist    rewrite the allowlist from the current\n\
-                               findings (intentional burn-down only)\n\
   analyze --bench PATH     time the analyzer at 1/2/4 loader threads and\n\
                            write the medians (total and concurrency-pass\n\
                            wall time) to PATH as JSON\n\
   analyze --lock-graph PATH    write the serve/guard lock acquisition-order\n\
-                               graph (S050) to PATH as Graphviz DOT\n\
-  ratchet              check the allowlist against the ceilings recorded\n\
-                       in crates/xtask/ratchet.txt; growth and stale\n\
-                       ceiling keys both fail\n\
-  ratchet --write          record the current (smaller) counts as the new\n\
-                           ceilings, pruning ceilings for codes that no\n\
-                           longer occur; refuses to raise any ceiling";
+                               graph (S050) to PATH as Graphviz DOT";
 
 fn repo_root() -> PathBuf {
     // crates/xtask -> crates -> repo root.
@@ -53,72 +42,11 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The analyzer's burn-down allowlist, relative to the repo root.
-const ALLOWLIST: &str = "crates/xtask/analyze-allow.txt";
-
-/// Loads an allowlist file, treating "not found" as empty.
-fn load_allowlist(
-    path: &Path,
-) -> Result<std::collections::BTreeMap<(String, String), usize>, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(analyze::parse_allowlist(&text)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Default::default()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
-}
-
-/// Rewrites the allowlist from `findings`: drops any finding whose file is
-/// no longer on disk (so a deleted module never re-records entries), and
-/// reports how many entries of the *previous* list pointed at dead files.
-/// Rendering sorts by the explicit `(path, line, code)` key, so the output
-/// is byte-for-byte deterministic.
-fn write_allowlist_file(root: &Path, mut findings: Vec<analyze::Finding>) -> Result<(), String> {
-    let path = root.join(ALLOWLIST);
-    let prev = load_allowlist(&path)?;
-    let dead: usize = prev
-        .iter()
-        .filter(|((p, _), _)| !root.join(p).is_file())
-        .map(|(_, n)| *n)
-        .sum();
-    findings.retain(|f| root.join(&f.path).is_file());
-    let rendered = analyze::render_allowlist(
-        &findings,
-        "Known S0xx offences, one `<path> <CODE>` line per offence.\n\
-         This list is a burn-down: entries may only be removed (fixing the\n\
-         offence), never added. Stale entries fail `cargo run -p xtask -- analyze`.",
-    );
-    std::fs::write(&path, rendered).map_err(|e| format!("{}: {e}", path.display()))?;
-    if dead > 0 {
-        println!("stripped {dead} previous entries pointing at deleted files");
-    }
-    println!("wrote {} entries to {}", findings.len(), path.display());
-    Ok(())
-}
-
-/// Prints a verdict and returns whether the run passes.
-fn report_verdict(verdict: &analyze::Verdict, allowed_total: usize) -> bool {
-    for f in &verdict.new_offences {
-        println!("{f}");
-    }
-    for (path, code, n) in &verdict.stale {
-        println!("{path}: stale allowlist entry {code} (x{n}) — offence fixed, delete the line");
-    }
-    println!(
-        "analyze: {} finding(s), {} allowlisted, {} new, {} stale",
-        verdict.total,
-        allowed_total,
-        verdict.new_offences.len(),
-        verdict.stale.len()
-    );
-    verdict.ok()
-}
-
 /// What `analyze` should do, parsed from its flags.
 enum AnalyzeMode {
     Check { json: Option<PathBuf> },
     CheckApiOnly,
     WriteApi,
-    WriteAllowlist,
     Bench { json: PathBuf },
     LockGraph { dot: PathBuf },
 }
@@ -151,12 +79,6 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
                 Ok(false)
             }
         }
-        AnalyzeMode::WriteAllowlist => {
-            let analysis =
-                analyze::run_analysis(&root).map_err(|e| format!("analyzing sources: {e}"))?;
-            write_allowlist_file(&root, analysis.findings)?;
-            Ok(true)
-        }
         AnalyzeMode::Bench { json } => {
             const RUNS: usize = 5;
             let mut points = Vec::new();
@@ -174,8 +96,8 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
                 }
                 wall_ms.sort_by(f64::total_cmp);
                 conc_ms.sort_by(f64::total_cmp);
-                let median = wall_ms[wall_ms.len() / 2];
-                let conc = conc_ms[conc_ms.len() / 2];
+                let median = wall_ms.get(RUNS / 2).copied().unwrap_or_default();
+                let conc = conc_ms.get(RUNS / 2).copied().unwrap_or_default();
                 println!(
                     "analyze bench: {threads} thread(s): median {median:.3} ms over {RUNS} runs \
                      (concurrency pass {conc:.3} ms)"
@@ -210,183 +132,23 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
         AnalyzeMode::Check { json } => {
             let analysis =
                 analyze::run_analysis(&root).map_err(|e| format!("analyzing sources: {e}"))?;
-            let allowed = load_allowlist(&root.join(ALLOWLIST))?;
-            let allowed_total: usize = allowed.values().sum();
             if let Some(json_path) = json {
-                let rendered =
-                    analyze::render_json(&analysis.findings, allowed_total, analysis.waived);
+                let rendered = analyze::render_json(&analysis.findings, analysis.waived);
                 std::fs::write(&json_path, rendered)
                     .map_err(|e| format!("{}: {e}", json_path.display()))?;
                 println!("wrote JSON report to {}", json_path.display());
             }
-            let verdict = analyze::judge(analysis.findings, &allowed);
-            let ok = report_verdict(&verdict, allowed_total);
-            if analysis.waived > 0 {
-                println!("analyze: {} site(s) waived inline", analysis.waived);
+            for f in &analysis.findings {
+                println!("{f}");
             }
-            Ok(ok)
-        }
-    }
-}
-
-/// The allowlist's key in `ratchet.txt`.
-const RATCHET_KEY: &str = "analyze-allow";
-
-const RATCHET_FILE: &str = "crates/xtask/ratchet.txt";
-
-/// Current allowlist size keyed `analyze-allow` (total) and
-/// `analyze-allow:<CODE>` (per-code breakdown). The total is always
-/// present, even at zero, so a fully burned-down list still gets a `0`
-/// ceiling on `--write`.
-fn ratchet_counts(root: &Path) -> Result<BTreeMap<String, usize>, String> {
-    let allowed = load_allowlist(&root.join(ALLOWLIST))?;
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut total = 0usize;
-    for ((_path, code), n) in &allowed {
-        total += n;
-        *counts.entry(format!("{RATCHET_KEY}:{code}")).or_insert(0) += n;
-    }
-    counts.insert(RATCHET_KEY.to_string(), total);
-    Ok(counts)
-}
-
-/// Parses `ratchet.txt`: `<key> <ceiling>` lines, blanks and `#` comments
-/// skipped; unparsable ceilings are ignored (they fail the check as
-/// missing keys rather than being silently treated as zero).
-fn parse_ratchet(text: &str) -> BTreeMap<String, usize> {
-    let mut ceilings = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        if let (Some(key), Some(n)) = (parts.next(), parts.next()) {
-            if let Ok(n) = n.parse::<usize>() {
-                ceilings.insert(key.to_string(), n);
-            }
-        }
-    }
-    ceilings
-}
-
-fn render_ratchet(counts: &BTreeMap<String, usize>) -> String {
-    let mut out = String::from(
-        "# Allowlist ratchet: ceilings on the analyzer's burn-down allowlist,\n\
-         # one total plus per-code breakdowns. `cargo run -p xtask -- ratchet`\n\
-         # fails when any current count exceeds its ceiling — the list may\n\
-         # only shrink. After burning entries down, record the progress with\n\
-         # `cargo run -p xtask -- ratchet --write`, which refuses to raise a\n\
-         # ceiling.\n",
-    );
-    for (key, n) in counts {
-        out.push_str(&format!("{key} {n}\n"));
-    }
-    out
-}
-
-/// Ceiling keys with no corresponding current count: per-code keys whose
-/// last offence was burned down, or keys of a retired list. The total is
-/// always present in `counts` (even at zero), so any leftover key is
-/// genuinely stale.
-fn stale_ceilings(
-    counts: &BTreeMap<String, usize>,
-    ceilings: &BTreeMap<String, usize>,
-) -> Vec<String> {
-    ceilings
-        .keys()
-        .filter(|k| !counts.contains_key(*k))
-        .cloned()
-        .collect()
-}
-
-/// The allowlist ratchet: compares current allowlist sizes against the
-/// ceilings in `ratchet.txt`. Checking fails on any growth, on a count
-/// with no recorded ceiling, or on a stale ceiling key; `--write` records
-/// the current counts — pruning stale keys — but refuses to raise an
-/// existing ceiling.
-fn run_ratchet(write: bool) -> Result<bool, String> {
-    let root = repo_root();
-    let counts = ratchet_counts(&root)?;
-    let path = root.join(RATCHET_FILE);
-    let ceilings = match std::fs::read_to_string(&path) {
-        Ok(text) => parse_ratchet(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let stale = stale_ceilings(&counts, &ceilings);
-
-    if write {
-        let mut ok = true;
-        for (key, &n) in &counts {
-            if let Some(&c) = ceilings.get(key) {
-                if n > c {
-                    println!(
-                        "ratchet: refusing to raise `{key}` from {c} to {n} — \
-                         the ratchet only tightens; fix the offence or carry an \
-                         inline `analyze: allow(..)` waiver instead"
-                    );
-                    ok = false;
-                }
-            }
-        }
-        if !ok {
-            return Ok(false);
-        }
-        std::fs::write(&path, render_ratchet(&counts))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        if !stale.is_empty() {
             println!(
-                "pruned {} stale ceiling(s): {}",
-                stale.len(),
-                stale.join(", ")
+                "analyze: {} finding(s), {} site(s) waived inline",
+                analysis.findings.len(),
+                analysis.waived
             );
-        }
-        println!("wrote {} ceilings to {}", counts.len(), path.display());
-        return Ok(true);
-    }
-
-    let mut ok = true;
-    let mut slack = 0usize;
-    for (key, &n) in &counts {
-        match ceilings.get(key) {
-            Some(&c) if n <= c => slack += c - n,
-            Some(&c) => {
-                println!(
-                    "ratchet: `{key}` grew to {n} (ceiling {c}) — allowlists \
-                     may only shrink; fix the offence or carry an inline waiver"
-                );
-                ok = false;
-            }
-            None if n > 0 => {
-                println!(
-                    "ratchet: `{key}` has {n} entries but no recorded ceiling — \
-                     review them, then `cargo run -p xtask -- ratchet --write`"
-                );
-                ok = false;
-            }
-            None => {}
+            Ok(analysis.findings.is_empty())
         }
     }
-    for key in &stale {
-        println!(
-            "ratchet: stale ceiling `{key}` — no such entries remain; run \
-             `cargo run -p xtask -- ratchet --write` to prune it"
-        );
-        ok = false;
-    }
-    if ok {
-        println!(
-            "ratchet: all {} ceilings hold{}",
-            ceilings.len(),
-            if slack > 0 {
-                format!(" ({slack} entries of slack — tighten with `ratchet --write`)")
-            } else {
-                String::new()
-            }
-        );
-    }
-    Ok(ok)
 }
 
 fn main() -> ExitCode {
@@ -399,15 +161,12 @@ fn main() -> ExitCode {
         }),
         ["analyze", "--check-api"] => run_analyze(AnalyzeMode::CheckApiOnly),
         ["analyze", "--write-api"] => run_analyze(AnalyzeMode::WriteApi),
-        ["analyze", "--write-allowlist"] => run_analyze(AnalyzeMode::WriteAllowlist),
         ["analyze", "--bench", path] => run_analyze(AnalyzeMode::Bench {
             json: PathBuf::from(path),
         }),
         ["analyze", "--lock-graph", path] => run_analyze(AnalyzeMode::LockGraph {
             dot: PathBuf::from(path),
         }),
-        ["ratchet"] => run_ratchet(false),
-        ["ratchet", "--write"] => run_ratchet(true),
         ["-h"] | ["--help"] => {
             eprintln!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -431,41 +190,10 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn counts(pairs: &[(&str, usize)]) -> BTreeMap<String, usize> {
-        pairs.iter().map(|(k, n)| (k.to_string(), *n)).collect()
-    }
-
-    #[test]
-    fn stale_ceilings_flags_burned_down_codes() {
-        // S004 was fully burned: its per-code key vanishes from the
-        // counts (totals stay, even at zero), so its ceiling is stale. So
-        // is every key of a retired list.
-        let current = counts(&[("analyze-allow", 2), ("analyze-allow:S002", 2)]);
-        let recorded = counts(&[
-            ("analyze-allow", 5),
-            ("analyze-allow:S002", 3),
-            ("analyze-allow:S004", 2),
-            ("lint-allow", 39),
-            ("lint-allow:L002", 32),
-        ]);
-        assert_eq!(
-            stale_ceilings(&current, &recorded),
-            vec!["analyze-allow:S004", "lint-allow", "lint-allow:L002"]
-        );
-    }
-
-    #[test]
-    fn stale_ceilings_empty_when_every_key_is_live() {
-        let current = counts(&[("analyze-allow", 1), ("analyze-allow:S002", 1)]);
-        assert!(stale_ceilings(&current, &current).is_empty());
-        // A fully burned list keeps its zero total — not stale.
-        let zeroed = counts(&[("analyze-allow", 0)]);
-        assert!(stale_ceilings(&zeroed, &counts(&[("analyze-allow", 3)])).is_empty());
-    }
-
     /// L005's guarantee, kept by the compiler: every crate inherits the
     /// workspace lints, so none can opt out of `forbid(unsafe_code)` or
-    /// the clippy panic policy.
+    /// the clippy panic policy, and that policy denies the panic sites
+    /// S003/S004 used to report.
     #[test]
     fn every_crate_inherits_the_workspace_lints() {
         let crates = repo_root().join("crates");
@@ -487,16 +215,19 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0, "no crates found under {}", crates.display());
-    }
 
-    #[test]
-    fn render_ratchet_drops_keys_absent_from_counts() {
-        // `--write` renders from the current counts alone, so a stale key
-        // never survives a write.
-        let current = counts(&[("analyze-allow", 2), ("analyze-allow:S002", 2)]);
-        let rendered = render_ratchet(&current);
-        let reparsed = parse_ratchet(&rendered);
-        assert_eq!(reparsed, current);
-        assert!(!rendered.contains("S004"));
+        // The root table keeps the panic-site lints the retired S003/S004
+        // analyzer codes used to check.
+        let root = std::fs::read_to_string(repo_root().join("Cargo.toml")).unwrap();
+        let clippy = root
+            .split("\n[")
+            .find(|table| table.starts_with("workspace.lints.clippy]"))
+            .expect("root Cargo.toml has no [workspace.lints.clippy] table");
+        for lint in ["indexing_slicing", "unreachable"] {
+            assert!(
+                clippy.lines().any(|l| l == format!("{lint} = \"deny\"")),
+                "[workspace.lints.clippy] must set `{lint} = \"deny\"`"
+            );
+        }
     }
 }

@@ -83,30 +83,6 @@ impl<V: NodeValue> ZsCostModel<V> for CompareCost {
     }
 }
 
-/// Blessed bounds-checked indexing funnels (see DESIGN.md, "Static
-/// analysis"): every slice access in the DP flows through these four
-/// helpers so the S004 panic-reachability pass audits one waived site per
-/// shape instead of fifty scattered ones.
-#[inline(always)]
-fn at<T: Copy>(v: &[T], i: usize) -> T {
-    v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
-    &mut v[i] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at2(m: &[Vec<f64>], i: usize, j: usize) -> f64 {
-    m[i][j] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at2_mut(m: &mut [Vec<f64>], i: usize, j: usize) -> &mut f64 {
-    &mut m[i][j] // analyze: allow(S004) the blessed funnel
-}
-
 /// Postorder view of a tree with the ZS auxiliary arrays.
 struct ZsView {
     /// `post[i]` = node at postorder position `i` (0-based).
@@ -118,11 +94,15 @@ struct ZsView {
     keyroots: Vec<usize>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`index` is sized to `arena_len()`; `lml` to the postorder"
+)]
 fn view<V: NodeValue>(tree: &Tree<V>) -> ZsView {
     let post: Vec<NodeId> = tree.postorder().collect();
     let mut index = vec![usize::MAX; tree.arena_len()];
     for (i, &n) in post.iter().enumerate() {
-        *at_mut(&mut index, n.index()) = i;
+        index[n.index()] = i;
     }
     let mut lml = vec![0usize; post.len()];
     for (i, &n) in post.iter().enumerate() {
@@ -130,7 +110,7 @@ fn view<V: NodeValue>(tree: &Tree<V>) -> ZsView {
         while let Some(&first) = tree.children(cur).first() {
             cur = first;
         }
-        *at_mut(&mut lml, i) = at(&index, cur.index());
+        lml[i] = index[cur.index()];
     }
     // Keyroots: nodes that are roots or have a left sibling; equivalently,
     // for each distinct lml value, the highest postorder index with it.
@@ -177,6 +157,10 @@ struct Zs<'t, V: NodeValue, C: ZsCostModel<V>> {
     td: Vec<Vec<f64>>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the ZS DP: postorder indices below each tree's size, forest offsets inside `fd`"
+)]
 impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
     fn new(t1: &'t Tree<V>, t2: &'t Tree<V>, costs: &'t C) -> Self {
         let v1 = view(t1);
@@ -193,18 +177,18 @@ impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
     }
 
     fn del_cost(&self, i: usize) -> f64 {
-        let n = at(&self.v1.post, i);
+        let n = self.v1.post[i];
         self.costs.delete(self.t1.label(n), self.t1.value(n))
     }
 
     fn ins_cost(&self, j: usize) -> f64 {
-        let n = at(&self.v2.post, j);
+        let n = self.v2.post[j];
         self.costs.insert(self.t2.label(n), self.t2.value(n))
     }
 
     fn rel_cost(&self, i: usize, j: usize) -> f64 {
-        let a = at(&self.v1.post, i);
-        let b = at(&self.v2.post, j);
+        let a = self.v1.post[i];
+        let b = self.v2.post[j];
         self.costs.relabel(
             self.t1.label(a),
             self.t1.value(a),
@@ -221,44 +205,44 @@ impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
                 self.forest_dist(k1, k2, None);
             }
         }
-        at2(&self.td, self.v1.post.len() - 1, self.v2.post.len() - 1)
+        self.td[self.v1.post.len() - 1][self.v2.post.len() - 1]
     }
 
     /// The forest-distance DP for keyroot pair `(k1, k2)`, filling `td` for
     /// every subtree pair whose roots share these keyroots' leftmost
     /// leaves. Optionally captures the full `fd` matrix for backtracking.
     fn forest_dist(&mut self, k1: usize, k2: usize, capture: Option<&mut Vec<Vec<f64>>>) {
-        let l1 = at(&self.v1.lml, k1);
-        let l2 = at(&self.v2.lml, k2);
+        let l1 = self.v1.lml[k1];
+        let l2 = self.v2.lml[k2];
         let m = k1 - l1 + 2; // forest sizes + 1 (row/col 0 = empty forest)
         let n = k2 - l2 + 2;
         let mut fd = vec![vec![0.0f64; n]; m];
         for di in 1..m {
-            let v = at2(&fd, di - 1, 0) + self.del_cost(l1 + di - 1);
-            *at2_mut(&mut fd, di, 0) = v;
+            let v = fd[di - 1][0] + self.del_cost(l1 + di - 1);
+            fd[di][0] = v;
         }
         for dj in 1..n {
-            let v = at2(&fd, 0, dj - 1) + self.ins_cost(l2 + dj - 1);
-            *at2_mut(&mut fd, 0, dj) = v;
+            let v = fd[0][dj - 1] + self.ins_cost(l2 + dj - 1);
+            fd[0][dj] = v;
         }
         for di in 1..m {
             let i = l1 + di - 1;
             for dj in 1..n {
                 let j = l2 + dj - 1;
-                let del = at2(&fd, di - 1, dj) + self.del_cost(i);
-                let ins = at2(&fd, di, dj - 1) + self.ins_cost(j);
-                if at(&self.v1.lml, i) == l1 && at(&self.v2.lml, j) == l2 {
+                let del = fd[di - 1][dj] + self.del_cost(i);
+                let ins = fd[di][dj - 1] + self.ins_cost(j);
+                if self.v1.lml[i] == l1 && self.v2.lml[j] == l2 {
                     // Both forests are whole subtrees: the relabel case
                     // closes a tree pair.
-                    let rel = at2(&fd, di - 1, dj - 1) + self.rel_cost(i, j);
+                    let rel = fd[di - 1][dj - 1] + self.rel_cost(i, j);
                     let best = del.min(ins).min(rel);
-                    *at2_mut(&mut fd, di, dj) = best;
-                    *at2_mut(&mut self.td, i, j) = best;
+                    fd[di][dj] = best;
+                    self.td[i][j] = best;
                 } else {
-                    let li = at(&self.v1.lml, i) - l1; // rows before subtree i
-                    let lj = at(&self.v2.lml, j) - l2;
-                    let split = at2(&fd, li, lj) + at2(&self.td, i, j);
-                    *at2_mut(&mut fd, di, dj) = del.min(ins).min(split);
+                    let li = self.v1.lml[i] - l1; // rows before subtree i
+                    let lj = self.v2.lml[j] - l2;
+                    let split = fd[li][lj] + self.td[i][j];
+                    fd[di][dj] = del.min(ins).min(split);
                 }
             }
         }
@@ -277,21 +261,21 @@ impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
         while let Some((k1, k2)) = stack.pop() {
             let mut fd = Vec::new();
             self.forest_dist(k1, k2, Some(&mut fd));
-            let l1 = at(&self.v1.lml, k1);
-            let l2 = at(&self.v2.lml, k2);
+            let l1 = self.v1.lml[k1];
+            let l2 = self.v2.lml[k2];
             let mut di = k1 - l1 + 1;
             let mut dj = k2 - l2 + 1;
             while di > 0 || dj > 0 {
                 if di > 0 {
                     let i = l1 + di - 1;
-                    if approx(at2(&fd, di, dj), at2(&fd, di - 1, dj) + self.del_cost(i)) {
+                    if approx(fd[di][dj], fd[di - 1][dj] + self.del_cost(i)) {
                         di -= 1;
                         continue;
                     }
                 }
                 if dj > 0 {
                     let j = l2 + dj - 1;
-                    if approx(at2(&fd, di, dj), at2(&fd, di, dj - 1) + self.ins_cost(j)) {
+                    if approx(fd[di][dj], fd[di][dj - 1] + self.ins_cost(j)) {
                         dj -= 1;
                         continue;
                     }
@@ -302,10 +286,10 @@ impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
                 );
                 let i = l1 + di - 1;
                 let j = l2 + dj - 1;
-                if at(&self.v1.lml, i) == l1 && at(&self.v2.lml, j) == l2 {
+                if self.v1.lml[i] == l1 && self.v2.lml[j] == l2 {
                     // Relabel: the pair (i, j) is preserved.
                     #[expect(clippy::expect_used, reason = "ZS backtrace pairs each node once")]
-                    m.insert(at(&self.v1.post, i), at(&self.v2.post, j))
+                    m.insert(self.v1.post[i], self.v2.post[j])
                         .expect("ZS mapping is one-to-one");
                     di -= 1;
                     dj -= 1;
@@ -313,8 +297,8 @@ impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
                     // Subtree split: recurse into the subtree pair and skip
                     // over it in this forest.
                     stack.push((i, j));
-                    di = at(&self.v1.lml, i) - l1;
-                    dj = at(&self.v2.lml, j) - l2;
+                    di = self.v1.lml[i] - l1;
+                    dj = self.v2.lml[j] - l2;
                 }
             }
         }

@@ -5,6 +5,9 @@
 //! The search operates on a value-level tree representation so states can
 //! be canonicalized and deduplicated.
 
+// Harness code: a panic is how a test, bench or gate reports failure.
+#![allow(clippy::indexing_slicing)]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
