@@ -593,7 +593,17 @@ mod tests {
         let old = doc(r#"(D (P (S "a") (S "b")) (P (S "c")))"#);
         let new = doc(r#"(D (P (S "c")) (P (S "a") (S "b") (S "x")))"#);
         let r = Differ::new().prune(true).diff(&old, &new).unwrap();
-        let report = r.audit.expect("audit defaults on under debug assertions");
+        assert_eq!(
+            r.audit.is_some(),
+            Audit::Debug.enabled(),
+            "the default audit follows the build profile"
+        );
+        let r = Differ::new()
+            .prune(true)
+            .audit(Audit::On)
+            .diff(&old, &new)
+            .unwrap();
+        let report = r.audit.expect("Audit::On always reports");
         assert!(report.is_clean(), "{report}");
         assert!(report.checks_run > 0);
     }
@@ -630,7 +640,15 @@ mod tests {
         let t1 = doc(r#"(D (P (S "anchor") (S "totally original phrasing here")))"#);
         let t2 = doc(r#"(D (P (S "anchor") (S "completely different wording now")))"#);
         let h = match_with_optimality(&t1, &t2, MatchParams::default(), 3).unwrap();
-        let report = h.audit.expect("audit defaults on under debug assertions");
+        assert_eq!(
+            h.audit.is_some(),
+            Audit::Debug.enabled(),
+            "the hybrid audit follows the build profile"
+        );
+        if let Some(report) = &h.audit {
+            assert!(report.is_clean(), "{report}");
+        }
+        let report = hierdiff_audit::audit_matching(&t1, &t2, &h.matching);
         assert!(report.is_clean(), "{report}");
     }
 

@@ -165,50 +165,58 @@ impl<V: NodeValue> Builder<'_, V> {
         let id = self.alloc(self.t2.label(x), self.t2.value(x).clone(), annotation);
         self.t2_to_delta[x.index()] = Some(id);
 
-        let mut children: Vec<DeltaNodeId> = self
-            .t2
-            .children(x)
-            .to_vec()
-            .into_iter()
-            .map(|c| self.emit_new(c))
-            .collect();
+        // The tree references are `Copy`, so child slices borrow the trees,
+        // not `self`, and the recursion needs no per-node copies.
+        let (t1, t2) = (self.t1, self.t2);
+        let fresh: Vec<DeltaNodeId> = t2.children(x).iter().map(|&c| self.emit_new(c)).collect();
 
         // Interleave old-position entries (markers of moved-away children,
-        // deleted subtrees) against the stable children, in T1 order.
-        if let Some(w) = w {
-            let mut cursor = 0usize;
-            for c in self.t1.children(w).to_vec() {
-                match self.m.partner1(c) {
-                    Some(y) if !self.moved[c.index()] && self.t2.parent(y) == Some(x) => {
-                        // `y` was emitted by the child walk above; if the
-                        // lookup ever failed the cursor would merely not
-                        // advance past it.
-                        let dy = self.t2_to_delta[y.index()];
-                        let pos = dy.and_then(|dy| children.iter().position(|&d| d == dy));
-                        if let Some(pos) = pos {
-                            cursor = pos + 1;
-                        }
+        // deleted subtrees) against the stable children, in T1 order. Stable
+        // children keep their relative order, so the search for each one
+        // resumes at `cursor`, just past the previous one; an entry goes in
+        // at `cursor`. A parent that needs no entry keeps `fresh` as is.
+        let Some(w) = w else {
+            self.arena[id.index()].children = fresh;
+            return id;
+        };
+        let mut merged = Vec::new();
+        let (mut cursor, mut flushed) = (0usize, 0usize);
+        for &c in t1.children(w) {
+            let entry = match self.m.partner1(c) {
+                Some(y) if !self.moved[c.index()] && t2.parent(y) == Some(x) => {
+                    // `y` was emitted by the child walk above; if the lookup
+                    // ever failed the cursor would merely not advance past it.
+                    let dy = self.t2_to_delta[y.index()];
+                    if let Some(pos) =
+                        dy.and_then(|dy| fresh[cursor..].iter().position(|&d| d == dy))
+                    {
+                        cursor += pos + 1;
                     }
-                    Some(_) => {
-                        // Moved (within this parent or away): tombstone at
-                        // the old position, carrying the old value.
-                        let mk = self.alloc(
-                            self.t1.label(c),
-                            self.t1.value(c).clone(),
-                            Annotation::Marker { moved: UNRESOLVED },
-                        );
-                        self.pending_marks.push((mk, c));
-                        children.insert(cursor, mk);
-                        cursor += 1;
-                    }
-                    None => {
-                        let del = self.emit_old_deleted(c);
-                        children.insert(cursor, del);
-                        cursor += 1;
-                    }
+                    continue;
                 }
-            }
+                Some(_) => {
+                    // Moved (within this parent or away): tombstone at the
+                    // old position, carrying the old value.
+                    let mk = self.alloc(
+                        t1.label(c),
+                        t1.value(c).clone(),
+                        Annotation::Marker { moved: UNRESOLVED },
+                    );
+                    self.pending_marks.push((mk, c));
+                    mk
+                }
+                None => self.emit_old_deleted(c),
+            };
+            merged.extend_from_slice(&fresh[flushed..cursor]);
+            flushed = cursor;
+            merged.push(entry);
         }
+        let children = if merged.is_empty() {
+            fresh
+        } else {
+            merged.extend_from_slice(&fresh[flushed..]);
+            merged
+        };
         self.arena[id.index()].children = children;
         id
     }
@@ -221,17 +229,16 @@ impl<V: NodeValue> Builder<'_, V> {
             self.t1.value(c).clone(),
             Annotation::Deleted,
         );
-        let children: Vec<DeltaNodeId> = self
-            .t1
+        let t1 = self.t1;
+        let children: Vec<DeltaNodeId> = t1
             .children(c)
-            .to_vec()
-            .into_iter()
-            .map(|k| match self.m.partner1(k) {
+            .iter()
+            .map(|&k| match self.m.partner1(k) {
                 None => self.emit_old_deleted(k),
                 Some(_) => {
                     let mk = self.alloc(
-                        self.t1.label(k),
-                        self.t1.value(k).clone(),
+                        t1.label(k),
+                        t1.value(k).clone(),
                         Annotation::Marker { moved: UNRESOLVED },
                     );
                     self.pending_marks.push((mk, k));
@@ -259,8 +266,13 @@ mod tests {
     /// projections.
     fn delta_for(t1: &Tree<String>, t2: &Tree<String>) -> DeltaTree<String> {
         let matched = fast_match(t1, t2, MatchParams::default()).unwrap();
-        let res = edit_script(t1, t2, &matched.matching).unwrap();
-        let delta = build_delta_tree(t1, t2, &matched.matching, &res);
+        delta_with(t1, t2, &matched.matching)
+    }
+
+    /// [`delta_for`] under a given matching.
+    fn delta_with(t1: &Tree<String>, t2: &Tree<String>, m: &Matching) -> DeltaTree<String> {
+        let res = edit_script(t1, t2, m).unwrap();
+        let delta = build_delta_tree(t1, t2, m, &res);
         let new = delta.project_new();
         let old = delta.project_old();
         if res.wrapped {
@@ -489,6 +501,65 @@ mod tests {
         assert_eq!(c.updated, 1);
         assert!(isomorphic(&delta.project_new(), &t2));
         assert!(isomorphic(&delta.project_old(), &t1));
+    }
+
+    #[test]
+    fn wide_parent_interleaves_deletes_and_markers() {
+        // 2,400 siblings: every 7th deleted, every 11th (not 7th) moved to
+        // the second paragraph, a fresh sentence after every 13th.
+        let n = 2400;
+        let leaf = |i: usize| format!(r#"(S "v{i}")"#);
+        let old: Vec<String> = (0..n).map(leaf).collect();
+        let mut kept = Vec::new();
+        let mut moved = Vec::new();
+        for i in 0..n {
+            if i % 7 == 0 {
+                continue;
+            }
+            if i % 11 == 0 {
+                moved.push(leaf(i));
+                continue;
+            }
+            kept.push(leaf(i));
+            if i % 13 == 0 {
+                kept.push(format!(r#"(S "new{i}")"#));
+            }
+        }
+        let t1 = doc(&format!("(D (P {}) (P))", old.join(" ")));
+        let t2 = doc(&format!(
+            "(D (P {}) (P {}))",
+            kept.join(" "),
+            moved.join(" ")
+        ));
+        // Root and paragraphs by position, sentences by value.
+        let mut m = Matching::new();
+        m.insert(t1.root(), t2.root()).unwrap();
+        for (&a, &b) in t1.children(t1.root()).iter().zip(t2.children(t2.root())) {
+            m.insert(a, b).unwrap();
+        }
+        let by_value: std::collections::HashMap<&String, NodeId> =
+            t2.leaves().map(|y| (t2.value(y), y)).collect();
+        for x in t1.leaves() {
+            if let Some(&y) = by_value.get(t1.value(x)) {
+                m.insert(x, y).unwrap();
+            }
+        }
+        let delta = delta_with(&t1, &t2, &m);
+        let c = delta.annotation_counts();
+        assert_eq!(c.deleted, (0..n).filter(|i| i % 7 == 0).count());
+        assert_eq!(c.markers, moved.len());
+        assert_eq!(c.moved, moved.len());
+        assert_eq!(
+            c.inserted,
+            (0..n)
+                .filter(|i| i % 13 == 0 && i % 7 != 0 && i % 11 != 0)
+                .count()
+        );
+        let wide = delta.children(delta.root())[0];
+        assert_eq!(
+            delta.children(wide).len(),
+            kept.len() + c.deleted + c.markers
+        );
     }
 
     #[test]

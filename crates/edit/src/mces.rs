@@ -15,8 +15,28 @@
 //! a longest common subsequence (Lemma C.1); positions are computed by
 //! *FindPos* against nodes marked "in order".
 //!
-//! Running time is `O(ND)` where `N` is the total node count and `D` the
-//! number of misaligned nodes (Theorem C.2).
+//! ## Settled pairs
+//!
+//! A `T2` node `x` is *settled* when it has a partner `w`, `v(w) = v(x)`,
+//! both have the same number of children, and child `i` of `x` is settled
+//! and matched to child `i` of `w`. One bottom-up pass over `T2` computes
+//! this before the scans start. Because the matching is one-to-one, a
+//! settled pair maps the two subtrees onto each other node for node:
+//! nothing inside it can be updated, inserted, deleted or moved, and no
+//! node outside it has its partner inside. So the breadth-first scan still
+//! runs the update and move steps on a settled `x` (the subtree may move
+//! as a whole) but neither aligns its children nor descends into it, and
+//! the delete scan skips the settled `w` subtrees. The output is exactly
+//! what the full scans produce.
+//!
+//! Settled pairs come from the matching itself, so every matching
+//! strategy and every caller-provided matching gets the skip. Unchanged
+//! fragments that FastMatch or the identical-subtree pre-pass pair child
+//! for child cost one visit in the settling pass and nothing afterwards.
+//!
+//! Running time is `O(N + N'D)` where `N` is the total node count, `N'`
+//! the number of unsettled nodes and `D` the number of misaligned nodes
+//! (Theorem C.2 gives `O(ND)` for the unpruned scan).
 //!
 //! ## Position semantics
 //!
@@ -33,6 +53,7 @@
 //! [`McesResult::wrapped`]; its script is expressed against the wrapped
 //! `T1` (replay with [`McesResult::replay_on`]).
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use hierdiff_guard::{Budget, Guard, GuardError};
@@ -224,8 +245,8 @@ pub fn edit_script<V: NodeValue>(
 }
 
 /// [`edit_script`] under resource governance: the guard is ticked once per
-/// BFS/postorder node, and every *AlignChildren* LCS call runs against the
-/// guard's `max_lcs_cells` budget.
+/// node each pass (settling, BFS, post-order) visits, and every
+/// *AlignChildren* LCS call runs against the guard's `max_lcs_cells` budget.
 ///
 /// When that budget runs out, alignment **degrades in place** instead of
 /// failing: the LCS is treated as empty, so step 6 of Figure 9 moves every
@@ -270,12 +291,14 @@ pub fn edit_script_guarded<V: NodeValue>(
         &t2_wrapped
     };
 
+    let settled = settled_nodes(&work, t2, &m, guard)?;
     let mut gen = Generator {
         work,
         t2,
         m,
         ord1: Vec::new(),
         ord2: vec![false; t2.arena_len()],
+        settled,
         script: EditScript::new(),
         stats: McesStats::default(),
         guard,
@@ -307,6 +330,37 @@ pub fn edit_script_guarded<V: NodeValue>(
     })
 }
 
+/// Marks the settled nodes of `t2` (see the module docs) against `t1`
+/// and `m`, indexed by `t2` id, in one bottom-up pass: reverse preorder,
+/// which on a compact tree is a reverse scan of the id range.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the verdict table is sized to T2's arena and indexed by T2 ids"
+)]
+fn settled_nodes<V: NodeValue>(
+    t1: &Tree<V>,
+    t2: &Tree<V>,
+    m: &Matching,
+    guard: &Guard,
+) -> Result<Vec<bool>, GuardError> {
+    let mut settled = vec![false; t2.arena_len()];
+    let order: Vec<NodeId> = t2.preorder().collect();
+    for &x in order.iter().rev() {
+        guard.tick()?;
+        let Some(w) = m.partner2(x) else {
+            continue;
+        };
+        let (kids1, kids2) = (t1.children(w), t2.children(x));
+        settled[x.index()] = kids1.len() == kids2.len()
+            && kids2
+                .iter()
+                .zip(kids1)
+                .all(|(&b, &a)| settled[b.index()] && m.partner2(b) == Some(a))
+            && t1.value(w) == t2.value(x);
+    }
+    Ok(settled)
+}
+
 struct Generator<'t, V> {
     work: Tree<V>,
     t2: &'t Tree<V>,
@@ -315,6 +369,8 @@ struct Generator<'t, V> {
     ord1: Vec<bool>,
     /// "in order" marks for nodes of T2.
     ord2: Vec<bool>,
+    /// Settled T2 nodes (see the module docs), indexed by T2 id.
+    settled: Vec<bool>,
     script: EditScript<V>,
     stats: McesStats,
     guard: &'t Guard,
@@ -335,9 +391,11 @@ impl<V: NodeValue> Generator<'_, V> {
         self.set_ord2(self.t2.root(), true);
 
         // Phase 1 of Figure 8: breadth-first scan of T2 combining the
-        // update, insert, align, and move phases.
-        let bfs: Vec<NodeId> = self.t2.bfs().collect();
-        for x in bfs {
+        // update, insert, align, and move phases. A settled node is
+        // updated and moved like any other, but its subtree needs no
+        // alignment and is not entered.
+        let mut queue = VecDeque::from([self.t2.root()]);
+        while let Some(x) = queue.pop_front() {
             self.guard.tick()?;
             let w = if x == self.t2.root() {
                 let w = self
@@ -363,11 +421,29 @@ impl<V: NodeValue> Generator<'_, V> {
                     }
                 }
             };
+            if self.settled[x.index()] {
+                continue;
+            }
             self.align_children(w, x)?;
+            queue.extend(self.t2.children(x).iter().copied());
         }
 
         // Phase 3 of Figure 8: post-order delete of unmatched T1 nodes.
-        let postorder: Vec<NodeId> = self.work.postorder().collect();
+        // Settled subtrees hold only matched nodes, so the walk skips them.
+        let mut postorder = Vec::new();
+        let mut stack = vec![(self.work.root(), false)];
+        while let Some((w, expanded)) = stack.pop() {
+            self.guard.tick()?;
+            if expanded {
+                postorder.push(w);
+                continue;
+            }
+            stack.push((w, true));
+            let settled = self.m.partner1(w).is_some_and(|x| self.settled[x.index()]);
+            if !settled {
+                stack.extend(self.work.children(w).iter().rev().map(|&c| (c, false)));
+            }
+        }
         for w in postorder {
             self.guard.tick()?;
             if self.m.partner1(w).is_none() {
@@ -988,6 +1064,109 @@ mod tests {
         assert!(m.is_subset_of(&res.total_matching));
         // Three moves (every node relocates) plus two value updates.
         assert_eq!(res.script.op_counts().moves, 3, "script: {}", res.script);
+    }
+
+    /// Matches two isomorphic trees node for node, in pre-order.
+    fn match_by_position(t1: &Tree<String>, t2: &Tree<String>) -> Matching {
+        let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
+        for (x, y) in t1.preorder().zip(t2.preorder()) {
+            m.insert(x, y).unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn identical_trees_skip_alignment() {
+        let (_, t2, res) = run(
+            r#"(D (P (S "a") (S "b")) (P (S "c") (S "d") (S "e")))"#,
+            r#"(D (P (S "a") (S "b")) (P (S "c") (S "d") (S "e")))"#,
+            match_by_position,
+        );
+        assert!(res.script.is_empty(), "script: {}", res.script);
+        assert!(isomorphic(&res.edited, &t2));
+        assert_eq!(res.stats.lcs_cells, 0, "a settled root aligns nothing");
+    }
+
+    #[test]
+    fn settled_subtree_moves_whole() {
+        // The P subtree is settled: it moves as one MOV, and aligning the
+        // parents costs what it would if P were a leaf.
+        let moved = |p1: &str, p2: &str| {
+            run(
+                &format!(r#"(D (Q {p1}) (Q (S "z")))"#),
+                &format!(r#"(D (Q) (Q (S "z") {p2}))"#),
+                match_by_value,
+            )
+        };
+        let (t1, t2, res) = moved(
+            r#"(P (S "a") (S "b") (S "c"))"#,
+            r#"(P (S "a") (S "b") (S "c"))"#,
+        );
+        let m = match_by_value(&t1, &t2);
+        let settled = settled_nodes(&t1, &t2, &m, &Guard::unlimited()).unwrap();
+        let p2 = t2.children(t2.children(t2.root())[1])[1];
+        assert!(settled[p2.index()]);
+        assert_eq!(res.script.len(), 1, "script: {}", res.script);
+        let p1 = t1.children(t1.children(t1.root())[0])[0];
+        assert!(matches!(res.script.ops()[0], EditOp::Move { node, .. } if node == p1));
+        assert!(isomorphic(&res.edited, &t2));
+        let (_, _, leaf) = moved(r#"(P "p")"#, r#"(P "p")"#);
+        assert_eq!(res.stats.lcs_cells, leaf.stats.lcs_cells);
+    }
+
+    #[test]
+    fn deep_update_unsettles_every_ancestor() {
+        let t1 = Tree::parse_sexpr(r#"(D (P (Q (S "a") (S "b"))) (P (S "c")))"#).unwrap();
+        let t2 = Tree::parse_sexpr(r#"(D (P (Q (S "a") (S "B"))) (P (S "c")))"#).unwrap();
+        let m = match_by_position(&t1, &t2);
+        let settled = settled_nodes(&t1, &t2, &m, &Guard::unlimited()).unwrap();
+        let by_value = |v: &str| t2.preorder().find(|&y| t2.value(y) == v).unwrap();
+        let b = by_value("B");
+        let unsettled: Vec<NodeId> = t2.preorder().filter(|y| !settled[y.index()]).collect();
+        let mut path: Vec<NodeId> = t2.ancestors(b).collect();
+        path.push(b);
+        path.sort();
+        assert_eq!(unsettled, path, "exactly B and its ancestors are unsettled");
+        assert!(settled[by_value("a").index()] && settled[by_value("c").index()]);
+
+        let res = edit_script(&t1, &t2, &m).unwrap();
+        assert_eq!(res.script.len(), 1, "script: {}", res.script);
+        assert!(
+            matches!(&res.script.ops()[0], EditOp::Update { value, .. } if value == "B"),
+            "script: {}",
+            res.script
+        );
+        assert!(isomorphic(&res.edited, &t2));
+    }
+
+    #[test]
+    fn unmatched_roots_with_settled_children() {
+        // The roots cannot match (labels differ), so both trees are
+        // wrapped; the settled P and S children still move whole.
+        let (t1, t2, res) = run(
+            r#"(A (P (S "x") (S "y")) (S "k"))"#,
+            r#"(B (P (S "x") (S "y")) (S "k"))"#,
+            match_by_value,
+        );
+        assert!(res.wrapped);
+        let c = res.script.op_counts();
+        assert_eq!(
+            (c.inserts, c.moves, c.deletes, c.total()),
+            (1, 2, 1, 4),
+            "script: {}",
+            res.script
+        );
+        let p1 = t1.children(t1.root())[0];
+        let interior = t1.children(p1);
+        assert!(
+            res.script.iter().all(|op| !interior.contains(&op.node())),
+            "no op inside the settled P: {}",
+            res.script
+        );
+        let m = match_by_value(&t1, &t2);
+        let settled = settled_nodes(&t1, &t2, &m, &Guard::unlimited()).unwrap();
+        assert!(!settled[t2.root().index()]);
+        assert!(t2.children(t2.root()).iter().all(|c| settled[c.index()]));
     }
 
     #[test]

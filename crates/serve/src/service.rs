@@ -442,7 +442,13 @@ fn run_attempt(
     } else {
         Audit::Off
     };
-    let differ = Differ::new().budget(budgets).cancel(token).audit(audit);
+    // `ServeResponse` carries no delta tree, so build one only when the
+    // audit will check its projections.
+    let differ = Differ::new()
+        .budget(budgets)
+        .cancel(token)
+        .audit(audit)
+        .delta(shared.config.audit);
     let differ = match rung {
         Rung::GumTree => differ.strategy(MatchStrategy::gumtree()),
         Rung::FastMatch => {
@@ -476,6 +482,27 @@ mod tests {
     use super::*;
     use hierdiff_guard::RetryPolicy;
     use hierdiff_workload::{generate_docset, DocSetProfile};
+
+    /// Auditing also builds the delta tree (the only consumer of it here);
+    /// neither changes the script a response reports.
+    #[test]
+    fn audit_on_and_off_agree() {
+        let set = generate_docset(&DocSetProfile::paper_sets()[0]);
+        let serve = |audit: bool| {
+            let service = DiffService::new(ServeConfig::default().with_audit(audit));
+            service.ingest("a", set.versions.clone());
+            (1..set.versions.len())
+                .map(|v| service.diff("a", v - 1, v).expect("diff"))
+                .collect::<Vec<_>>()
+        };
+        let (off, on) = (serve(false), serve(true));
+        assert_eq!(off.len(), on.len());
+        for (a, b) in off.iter().zip(&on) {
+            assert_eq!((a.script_len, a.ops), (b.script_len, b.ops));
+            assert_eq!(a.audit_clean, None);
+            assert_eq!(b.audit_clean, Some(true));
+        }
+    }
 
     /// A panicking attempt must quarantine *exactly* the two cache
     /// entries it touched — not the rest of the chain, not other
