@@ -24,56 +24,10 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Steal, Stealer, Worker};
-use hierdiff_guard::RetryPolicy;
-use hierdiff_obs::{CounterSample, DiffProfile, Recorder};
+use hierdiff_obs::{Counter, CounterSample, DiffProfile, Recorder};
 use hierdiff_tree::{NodeValue, Tree};
 
 use crate::{diff_observed, AuditReport, DiffError, DiffResult, MatchStrategy, PipelineConfig};
-
-/// Options for a batch run, assembled by
-/// [`Differ::diff_batch`](crate::Differ::diff_batch) /
-/// [`diff_batch_with`](crate::Differ::diff_batch_with).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct BatchOptions {
-    /// Per-pair pipeline configuration; [`MatchStrategy::Provided`] is
-    /// rejected (a single provided matching cannot describe multiple
-    /// pairs).
-    pub diff: PipelineConfig,
-    /// Worker-thread count; defaults to `available_parallelism` (capped at
-    /// the number of pairs).
-    pub workers: Option<NonZeroUsize>,
-    /// Record a per-worker [`DiffProfile`] (phase timings + work counters
-    /// across the worker's pairs) into [`BatchReport::profiles`].
-    pub profile: bool,
-    /// Retry schedule for pairs a panicked worker never delivered
-    /// ([`Differ::retry`](crate::Differ::retry)). The default —
-    /// [`RetryPolicy::default`], one retry — matches the historical
-    /// retry-once-on-the-calling-thread behavior.
-    pub retry: RetryPolicy,
-}
-
-impl BatchOptions {
-    /// Forces a specific worker count.
-    #[cfg(test)]
-    pub fn with_workers(mut self, workers: usize) -> BatchOptions {
-        self.workers = NonZeroUsize::new(workers);
-        self
-    }
-
-    /// Toggles per-worker profile recording.
-    #[cfg(test)]
-    pub fn with_profile(mut self, profile: bool) -> BatchOptions {
-        self.profile = profile;
-        self
-    }
-
-    /// Sets the retry schedule.
-    #[cfg(test)]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> BatchOptions {
-        self.retry = retry;
-        self
-    }
-}
 
 /// What one worker did during a batch run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -158,14 +112,11 @@ impl BatchReport {
             total.merge(p);
         }
         if self.retries > 0 {
-            match total
-                .counters
-                .iter_mut()
-                .find(|c| c.name == "batch_retries")
-            {
+            let name = Counter::BatchRetries.name();
+            match total.counters.iter_mut().find(|c| c.name == name) {
                 Some(c) => c.value += self.retries,
                 None => total.counters.push(CounterSample {
-                    name: "batch_retries".to_string(),
+                    name: name.to_string(),
                     value: self.retries,
                 }),
             }
@@ -196,7 +147,9 @@ fn worker_count(requested: Option<NonZeroUsize>, pairs: usize) -> usize {
 /// Diffs every `(old, new)` pair concurrently on work-stealing workers,
 /// streaming each result to `sink` as it completes (in completion order —
 /// the pair's input index is passed alongside). Returns the scheduling
-/// report.
+/// report. A [`MatchStrategy::Provided`] configuration is rejected on
+/// every pair with [`DiffError::MissingProvidedMatching`] (a single
+/// provided matching cannot describe multiple pairs).
 ///
 /// A worker that panics does not take the batch down: its failure is
 /// recorded in [`BatchReport::failures`], the remaining workers drain the
@@ -213,7 +166,7 @@ fn worker_count(requested: Option<NonZeroUsize>, pairs: usize) -> usize {
 /// channel or vector) or it becomes the bottleneck.
 pub(crate) fn diff_batch_inner<V, F>(
     pairs: &[(&Tree<V>, &Tree<V>)],
-    options: &BatchOptions,
+    config: &PipelineConfig,
     sink: F,
 ) -> BatchReport
 where
@@ -223,7 +176,7 @@ where
     // The sink shares a lock with a delivered-index bitmap so the retry
     // pass below knows exactly which pairs a dead worker never streamed.
     let state = Mutex::new((vec![false; pairs.len()], sink));
-    if matches!(options.diff.strategy, MatchStrategy::Provided(_)) {
+    if matches!(config.strategy, MatchStrategy::Provided(_)) {
         let (_, mut sink) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
         for i in 0..pairs.len() {
             sink(i, Err(DiffError::MissingProvidedMatching));
@@ -234,7 +187,7 @@ where
         return BatchReport::default();
     }
 
-    let workers = worker_count(options.workers, pairs.len());
+    let workers = worker_count(config.workers, pairs.len());
     // Seed each deque with a contiguous block of the input: the owner
     // drains it front-to-back, thieves take from the front of the heaviest
     // remainder.
@@ -257,7 +210,7 @@ where
                 let state = &state;
                 scope.spawn(move || {
                     let mut stats = WorkerStats::default();
-                    let mut recorder = options.profile.then(Recorder::new);
+                    let mut recorder = config.profile.then(Recorder::new);
                     loop {
                         let (i, stolen) = match local.pop() {
                             Some(i) => (i, false),
@@ -275,7 +228,7 @@ where
                         let result = diff_observed(
                             old,
                             new,
-                            &options.diff,
+                            config,
                             recorder
                                 .as_mut()
                                 .map(|r| r as &mut dyn hierdiff_obs::PipelineObserver),
@@ -314,7 +267,7 @@ where
                     report.failures.push(DiffError::WorkerPanicked(worker));
                     (
                         WorkerStats::default(),
-                        options.profile.then(DiffProfile::default),
+                        config.profile.then(DiffProfile::default),
                     )
                 }
             })
@@ -338,8 +291,8 @@ where
     // Cancelled. A sink that panics stops the pass (it is the sink that is
     // broken, not the pairs).
     if !report.failures.is_empty() {
-        let policy = options.retry;
-        let cancel = options.diff.cancel.as_ref();
+        let policy = config.retry;
+        let cancel = config.cancel.as_ref();
         let (mut delivered, mut sink) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
         'pairs: for ((i, done), &(old, new)) in delivered.iter_mut().enumerate().zip(pairs) {
             if *done || policy.retry_limit() == 0 {
@@ -359,9 +312,7 @@ where
                 if attempt > 1 {
                     std::thread::sleep(policy.backoff(attempt - 1, i as u64));
                 }
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    diff_observed(old, new, &options.diff, None)
-                }));
+                let run = catch_unwind(AssertUnwindSafe(|| diff_observed(old, new, config, None)));
                 if let Ok(result) = run {
                     *done = true;
                     if catch_unwind(AssertUnwindSafe(|| sink(i, result))).is_err() {
@@ -388,15 +339,15 @@ where
 /// Collects a batch run into per-pair results (input order) plus the
 /// report. Pairs a panicked worker never delivered are retried on the
 /// calling thread per the retry policy; only pairs the policy never got
-/// to re-run (e.g. [`RetryPolicy::none`]) carry
+/// to re-run (e.g. [`RetryPolicy::none`](crate::RetryPolicy::none)) carry
 /// [`DiffError::WorkerPanicked`].
 pub(crate) fn diff_batch_run<V: NodeValue + Send + Sync>(
     pairs: &[(&Tree<V>, &Tree<V>)],
-    options: &BatchOptions,
+    config: &PipelineConfig,
 ) -> BatchRun<V> {
     let mut slots: Vec<Option<Result<DiffResult<V>, DiffError>>> =
         (0..pairs.len()).map(|_| None).collect();
-    let report = diff_batch_inner(pairs, options, |i, result| {
+    let report = diff_batch_inner(pairs, config, |i, result| {
         if let Some(slot) = slots.get_mut(i) {
             *slot = Some(result);
         }
@@ -437,7 +388,7 @@ fn steal_any(stealers: &[Stealer<usize>], me: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Differ;
+    use crate::{Differ, RetryPolicy};
     use hierdiff_edit::Matching;
     use hierdiff_tree::isomorphic;
 
@@ -597,7 +548,11 @@ mod tests {
         let a = doc(r#"(D (S "x"))"#);
         let b = doc(r#"(D (S "y"))"#);
         let pairs = vec![(&a, &b); 4];
-        let run = diff_batch_run(&pairs, &BatchOptions::default().with_workers(1));
+        let config = PipelineConfig {
+            workers: NonZeroUsize::new(1),
+            ..Default::default()
+        };
+        let run = diff_batch_run(&pairs, &config);
         assert!(run.report.failures.is_empty());
         assert_eq!(run.results.len(), 4);
 
@@ -607,7 +562,7 @@ mod tests {
         let mut first = true;
         let report = diff_batch_inner(
             &pairs,
-            &BatchOptions::default().with_workers(1),
+            &config,
             move |_, _: Result<DiffResult<String>, DiffError>| {
                 if first {
                     first = false;
@@ -630,7 +585,11 @@ mod tests {
         let mut slots: Vec<Option<Result<DiffResult<String>, DiffError>>> =
             (0..pairs.len()).map(|_| None).collect();
         let mut first = true;
-        let report = diff_batch_inner(&pairs, &BatchOptions::default().with_workers(1), |i, r| {
+        let config = PipelineConfig {
+            workers: NonZeroUsize::new(1),
+            ..Default::default()
+        };
+        let report = diff_batch_inner(&pairs, &config, |i, r| {
             if first {
                 first = false;
                 panic!("boom");
@@ -657,17 +616,18 @@ mod tests {
         type Slots = Mutex<Vec<Option<Result<DiffResult<String>, DiffError>>>>;
         let slots: Slots = Mutex::new((0..pairs.len()).map(|_| None).collect());
         let mut first = true;
-        let report = diff_batch_inner(
-            &pairs,
-            &BatchOptions::default().with_workers(1).with_profile(true),
-            |i, r| {
-                if first {
-                    first = false;
-                    panic!("boom");
-                }
-                slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
-            },
-        );
+        let config = PipelineConfig {
+            workers: NonZeroUsize::new(1),
+            profile: true,
+            ..Default::default()
+        };
+        let report = diff_batch_inner(&pairs, &config, |i, r| {
+            if first {
+                first = false;
+                panic!("boom");
+            }
+            slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
+        });
         assert_eq!(report.retries, 3);
         let delivered = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(delivered.iter().filter(|s| s.is_some()).count(), 3);
@@ -722,11 +682,13 @@ mod tests {
         let bad_old = volatile_pair("x", true);
         let bad_new = volatile_pair("y", true);
         let pairs = vec![(&ok_old, &ok_new), (&bad_old, &bad_new), (&ok_old, &ok_new)];
-        let opts = BatchOptions::default()
-            .with_workers(1)
-            .with_retry(RetryPolicy::retries(2).with_base_backoff(Duration::ZERO));
+        let config = PipelineConfig {
+            workers: NonZeroUsize::new(1),
+            retry: RetryPolicy::retries(2).with_base_backoff(Duration::ZERO),
+            ..Default::default()
+        };
         let slots = Mutex::new((0..pairs.len()).map(|_| None).collect::<Vec<_>>());
-        let report = diff_batch_inner(&pairs, &opts, |i, r| {
+        let report = diff_batch_inner(&pairs, &config, |i, r| {
             slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
         });
         assert_eq!(report.failures, vec![DiffError::WorkerPanicked(0)]);
@@ -753,21 +715,18 @@ mod tests {
         let b = doc(r#"(D (S "y"))"#);
         let pairs = vec![(&a, &b); 3];
         let token = CancelToken::new();
-        let opts = BatchOptions {
-            diff: PipelineConfig {
-                cancel: Some(token.clone()),
-                ..Default::default()
-            },
+        let config = PipelineConfig {
+            workers: NonZeroUsize::new(1),
+            cancel: Some(token.clone()),
             ..Default::default()
-        }
-        .with_workers(1);
+        };
         // The sink fires the cancel token and then kills the worker on its
         // first delivery: the remaining pairs enter the retry pass with the
         // token already fired and must surface as Cancelled, not as retry
         // exhaustion.
         let mut first = true;
         let slots = Mutex::new((0..pairs.len()).map(|_| None).collect::<Vec<_>>());
-        let report = diff_batch_inner(&pairs, &opts, |i, r| {
+        let report = diff_batch_inner(&pairs, &config, |i, r| {
             if first {
                 first = false;
                 token.cancel();
@@ -796,12 +755,12 @@ mod tests {
         let bad_old = volatile_pair("x", true);
         let bad_new = volatile_pair("y", true);
         let pairs = vec![(&bad_old, &bad_new), (&ok_old, &ok_new)];
-        let run = diff_batch_run(
-            &pairs,
-            &BatchOptions::default()
-                .with_workers(1)
-                .with_retry(RetryPolicy::none()),
-        );
+        let config = PipelineConfig {
+            workers: NonZeroUsize::new(1),
+            retry: RetryPolicy::none(),
+            ..Default::default()
+        };
+        let run = diff_batch_run(&pairs, &config);
         assert_eq!(run.report.failures, vec![DiffError::WorkerPanicked(0)]);
         assert_eq!(run.report.retries, 0, "policy forbids retrying");
         assert!(matches!(run.results[0], Err(DiffError::WorkerPanicked(0))));
@@ -815,15 +774,12 @@ mod tests {
         let pairs = vec![(&a, &b); 4];
         let token = CancelToken::new();
         token.cancel();
-        let opts = BatchOptions {
-            diff: PipelineConfig {
-                cancel: Some(token),
-                ..Default::default()
-            },
+        let config = PipelineConfig {
+            workers: NonZeroUsize::new(2),
+            cancel: Some(token),
             ..Default::default()
-        }
-        .with_workers(2);
-        let run = diff_batch_run(&pairs, &opts);
+        };
+        let run = diff_batch_run(&pairs, &config);
         assert!(
             run.report.failures.is_empty(),
             "cancellation is not a panic"

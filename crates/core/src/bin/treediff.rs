@@ -30,9 +30,10 @@
 
 use std::process::ExitCode;
 
+use hierdiff_core::cli::{Failure, PipelineFlags};
 use hierdiff_core::{
-    match_with_optimality, Budgets, DiffError, Differ, FastMatchConfig, GumTreeParams,
-    MatchStrategy, Phase, PipelineObserver, Recorder,
+    match_with_optimality, Budgets, DiffError, Differ, MatchStrategy, Phase, PipelineObserver,
+    Recorder,
 };
 use hierdiff_matching::MatchParams;
 use hierdiff_tree::Tree;
@@ -80,40 +81,6 @@ enum ProfileFormat {
     Json,
 }
 
-/// A CLI failure: diagnostic plus process exit code. Budget exhaustion and
-/// cancellation exit with 4 so callers can tell "too expensive" from
-/// "wrong" (1) without parsing stderr.
-struct Failure {
-    msg: String,
-    code: u8,
-}
-
-impl From<String> for Failure {
-    fn from(msg: String) -> Failure {
-        Failure { msg, code: 1 }
-    }
-}
-
-impl From<&str> for Failure {
-    fn from(msg: &str) -> Failure {
-        Failure {
-            msg: msg.to_string(),
-            code: 1,
-        }
-    }
-}
-
-fn fail_for(e: DiffError) -> Failure {
-    let code = match e {
-        DiffError::Cancelled | DiffError::BudgetExhausted(_) => 4,
-        _ => 1,
-    };
-    Failure {
-        msg: e.to_string(),
-        code,
-    }
-}
-
 struct Cli {
     params: MatchParams,
     k: u32,
@@ -140,67 +107,24 @@ impl Cli {
 /// and s-expression parse), so the final profile spans the entire
 /// pipeline of Section 2, not just the in-memory stages.
 fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder>), String> {
-    let mut t = 0.6f64;
-    let mut f = 0.5f64;
+    let mut flags = PipelineFlags::default();
     let mut k = 0u32;
     let mut prune = false;
-    let mut strategy_name: Option<String> = None;
-    let mut gumtree = GumTreeParams::default();
-    let mut gumtree_flags: Vec<&str> = Vec::new();
-    let mut budgets = Budgets::unlimited();
     let mut audit = None;
     let mut profile = None;
     let mut output = "script".to_string();
     let mut positional: Vec<String> = Vec::new();
     let mut it = args;
     while let Some(a) = it.next() {
+        if flags.take(&a, &mut it)? {
+            continue;
+        }
         let mut take = |name: &str| -> Result<String, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match a.as_str() {
             "-h" | "--help" => return Err(USAGE.to_string()),
-            "-t" | "--threshold" => t = take("-t")?.parse().map_err(|e| format!("bad -t: {e}"))?,
-            "-f" | "--leaf-threshold" => {
-                f = take("-f")?.parse().map_err(|e| format!("bad -f: {e}"))?
-            }
             "-k" | "--optimality" => k = take("-k")?.parse().map_err(|e| format!("bad -k: {e}"))?,
-            "-s" | "--strategy" => {
-                let v = take("--strategy")?;
-                match v.as_str() {
-                    "fastmatch" | "simple" | "gumtree" => strategy_name = Some(v),
-                    other => {
-                        return Err(format!(
-                            "unknown strategy {other:?} (expected fastmatch, simple, or gumtree)"
-                        ))
-                    }
-                }
-            }
-            "--min-height" => {
-                gumtree = gumtree.with_min_height(
-                    take("--min-height")?
-                        .parse()
-                        .map_err(|e| format!("bad --min-height: {e}"))?,
-                );
-                gumtree_flags.push("--min-height");
-            }
-            "--sim-threshold" => {
-                let s: f64 = take("--sim-threshold")?
-                    .parse()
-                    .map_err(|e| format!("bad --sim-threshold: {e}"))?;
-                if !(0.0..=1.0).contains(&s) {
-                    return Err("bad --sim-threshold: need a value in 0..=1".to_string());
-                }
-                gumtree = gumtree.with_sim_threshold(s);
-                gumtree_flags.push("--sim-threshold");
-            }
-            "--max-recovery" => {
-                gumtree = gumtree.with_max_recovery_size(
-                    take("--max-recovery")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-recovery: {e}"))?,
-                );
-                gumtree_flags.push("--max-recovery");
-            }
             "-p" | "--prune" => prune = true,
             "--audit" => audit = Some(true),
             "--no-audit" => audit = Some(false),
@@ -211,22 +135,6 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
                     "unknown profile format {:?} (expected json)",
                     &other["--profile=".len()..]
                 ))
-            }
-            "--timeout" => {
-                let secs: f64 = take("--timeout")?
-                    .parse()
-                    .map_err(|e| format!("bad --timeout: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("bad --timeout: need a non-negative number of seconds".to_string());
-                }
-                budgets = budgets.with_max_wall_time(std::time::Duration::from_secs_f64(secs));
-            }
-            "--max-nodes" => {
-                budgets = budgets.with_max_nodes(
-                    take("--max-nodes")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-nodes: {e}"))?,
-                )
             }
             "--output" => output = take("--output")?,
             other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
@@ -239,20 +147,8 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
             positional.len()
         ));
     };
-    let name = strategy_name.as_deref().unwrap_or("fastmatch");
-    if name != "gumtree" {
-        if let Some(flag) = gumtree_flags.first() {
-            return Err(format!("{flag} applies to --strategy gumtree"));
-        }
-    }
-    if prune && name != "fastmatch" {
-        return Err("--prune applies to --strategy fastmatch".to_string());
-    }
-    let strategy = match name {
-        "simple" => MatchStrategy::Simple,
-        "gumtree" => MatchStrategy::GumTree(gumtree),
-        _ => MatchStrategy::FastMatch(FastMatchConfig { prune }),
-    };
+    let strategy_explicit = flags.strategy_given();
+    let (params, strategy, budgets) = flags.finish(prune)?;
     let mut recorder = profile.map(|_| Recorder::new());
     if let Some(rec) = recorder.as_mut() {
         rec.phase_start(Phase::Parse);
@@ -264,10 +160,10 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
         rec.phase_end(Phase::Parse);
     }
     let cli = Cli {
-        params: MatchParams::with_inner_threshold(t).with_leaf_threshold(f),
+        params,
         k,
         strategy,
-        strategy_explicit: strategy_name.is_some(),
+        strategy_explicit,
         budgets,
         audit,
         profile,
@@ -357,7 +253,7 @@ fn run_audit(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
             )
             .into())
         }
-        Err(e) => Err(fail_for(e)),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -370,7 +266,7 @@ fn run_diff(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
         None => differ.diff(&cli.old, &cli.new),
     };
     emit_profile(recorder, cli.profile)?;
-    let result = outcome.map_err(fail_for)?;
+    let result = outcome?;
 
     match cli.output.as_str() {
         "script" => println!("{}", result.script),

@@ -41,14 +41,12 @@
 //!     .unwrap();
 //! ```
 
-use std::num::NonZeroUsize;
-
 use hierdiff_edit::Matching;
 use hierdiff_matching::MatchParams;
 use hierdiff_obs::{PipelineObserver, Recorder, Tee};
 use hierdiff_tree::{NodeValue, Tree};
 
-use crate::batch::{diff_batch_inner, BatchOptions, BatchRun};
+use crate::batch::{diff_batch_inner, diff_batch_run, BatchRun};
 use crate::{audit_default, diff_observed, DiffError, DiffResult, MatchStrategy, PipelineConfig};
 
 /// Stage-boundary invariant auditing policy for [`Differ::audit`].
@@ -58,8 +56,8 @@ pub enum Audit {
     Off,
     /// Always audit, in every build profile.
     On,
-    /// The build-profile default: audit under debug assertions (or the
-    /// `audit-release` feature), skip in plain release builds.
+    /// The build-profile default: audit under debug assertions, skip in
+    /// release builds.
     #[default]
     Debug,
 }
@@ -86,9 +84,6 @@ impl Audit {
 pub struct Differ<'o> {
     config: PipelineConfig,
     observer: Option<&'o mut dyn PipelineObserver>,
-    profile: bool,
-    workers: Option<NonZeroUsize>,
-    retry: hierdiff_guard::RetryPolicy,
 }
 
 impl Default for Differ<'static> {
@@ -104,9 +99,6 @@ impl Differ<'static> {
         Differ {
             config: PipelineConfig::default(),
             observer: None,
-            profile: false,
-            workers: None,
-            retry: hierdiff_guard::RetryPolicy::default(),
         }
     }
 }
@@ -184,7 +176,7 @@ impl<'o> Differ<'o> {
     /// as [`DiffError::Cancelled`](crate::DiffError::Cancelled). Ignored
     /// by single-pair [`diff`](Differ::diff).
     pub fn retry(mut self, retry: hierdiff_guard::RetryPolicy) -> Differ<'o> {
-        self.retry = retry;
+        self.config.retry = retry;
         self
     }
 
@@ -208,14 +200,14 @@ impl<'o> Differ<'o> {
     /// single diffs fill [`DiffResult::profile`], batch runs fill
     /// [`BatchReport::profiles`](crate::BatchReport::profiles) per worker.
     pub fn profile(mut self, profile: bool) -> Differ<'o> {
-        self.profile = profile;
+        self.config.profile = profile;
         self
     }
 
     /// Forces the batch worker-thread count (defaults to
     /// `available_parallelism`). Ignored by single-pair [`diff`](Differ::diff).
     pub fn workers(mut self, workers: usize) -> Differ<'o> {
-        self.workers = NonZeroUsize::new(workers);
+        self.config.workers = std::num::NonZeroUsize::new(workers);
         self
     }
 
@@ -230,9 +222,6 @@ impl<'o> Differ<'o> {
         Differ {
             config: self.config,
             observer: Some(observer),
-            profile: self.profile,
-            workers: self.workers,
-            retry: self.retry,
         }
     }
 
@@ -242,13 +231,8 @@ impl<'o> Differ<'o> {
         old: &Tree<V>,
         new: &Tree<V>,
     ) -> Result<DiffResult<V>, DiffError> {
-        let Differ {
-            config,
-            observer,
-            profile,
-            ..
-        } = self;
-        if profile {
+        let Differ { config, observer } = self;
+        if config.profile {
             let mut recorder = Recorder::new();
             let result = match observer {
                 Some(user) => {
@@ -274,7 +258,7 @@ impl<'o> Differ<'o> {
         self,
         pairs: &[(&Tree<V>, &Tree<V>)],
     ) -> BatchRun<V> {
-        crate::batch::diff_batch_run(pairs, &self.batch_options())
+        diff_batch_run(pairs, &self.config)
     }
 
     /// Diffs every pair concurrently, streaming each result to `sink` as
@@ -290,15 +274,6 @@ impl<'o> Differ<'o> {
         V: NodeValue + Send + Sync,
         F: FnMut(usize, Result<DiffResult<V>, DiffError>) + Send,
     {
-        diff_batch_inner(pairs, &self.batch_options(), sink)
-    }
-
-    fn batch_options(&self) -> BatchOptions {
-        BatchOptions {
-            diff: self.config.clone(),
-            workers: self.workers,
-            profile: self.profile,
-            retry: self.retry,
-        }
+        diff_batch_inner(pairs, &self.config, sink)
     }
 }

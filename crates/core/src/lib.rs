@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+pub mod cli;
 mod differ;
 mod hybrid;
 mod strategy;
@@ -68,6 +69,8 @@ pub use hierdiff_obs::{
 };
 pub use hybrid::{match_with_optimality, zs_budget, HybridMatch};
 pub use strategy::{FastMatchConfig, MatchStrategy};
+
+use std::num::NonZeroUsize;
 
 pub use hierdiff_audit::AuditReport;
 use hierdiff_audit::{audit_delta, audit_matching, audit_prune, audit_script, audit_tree, Side};
@@ -87,14 +90,15 @@ pub use hierdiff_matching::MatchParams as Params;
 
 use crate::strategy::run_strategy;
 
-/// Whether stage-boundary auditing is on by default: always under debug
-/// assertions, and in release builds only with the `audit-release` feature.
+/// Whether stage-boundary auditing is on by default: under debug
+/// assertions only ([`Audit::On`] turns it on in release builds).
 pub(crate) fn audit_default() -> bool {
-    cfg!(debug_assertions) || cfg!(feature = "audit-release")
+    cfg!(debug_assertions)
 }
 
 /// The resolved pipeline configuration assembled by the [`Differ`]
-/// builder — the one bag of knobs `diff_observed` runs from.
+/// builder — the one bag of knobs single-pair (`diff_observed`) and batch
+/// runs start from.
 #[derive(Clone, Debug)]
 pub(crate) struct PipelineConfig {
     /// Matching criteria parameters `f` and `t` (Section 5.1), used by the
@@ -118,6 +122,16 @@ pub(crate) struct PipelineConfig {
     /// chain). Replaces the in-pipeline pruning pre-pass; ignored by the
     /// other strategies.
     pub prune_seed: Option<Matching>,
+    /// Record a [`DiffProfile`](hierdiff_obs::DiffProfile): on the result
+    /// of a single diff, per worker in [`BatchReport::profiles`] for a
+    /// batch.
+    pub profile: bool,
+    /// Batch worker-thread count; defaults to `available_parallelism`
+    /// (capped at the number of pairs). Ignored by single-pair runs.
+    pub workers: Option<NonZeroUsize>,
+    /// Batch retry schedule for pairs a panicked worker never delivered
+    /// ([`Differ::retry`]). Ignored by single-pair runs.
+    pub retry: RetryPolicy,
 }
 
 impl Default for PipelineConfig {
@@ -131,6 +145,9 @@ impl Default for PipelineConfig {
             budgets: Budgets::unlimited(),
             cancel: None,
             prune_seed: None,
+            profile: false,
+            workers: None,
+            retry: RetryPolicy::default(),
         }
     }
 }

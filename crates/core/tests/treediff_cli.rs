@@ -382,3 +382,20 @@ fn parse_error_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad.sexpr"));
 }
+
+#[test]
+fn negative_timeout_rejected() {
+    let old = write_temp("nt_old.sexpr", OLD);
+    let new = write_temp("nt_new.sexpr", NEW);
+    let out = treediff()
+        .args(["--timeout", "-1"])
+        .arg(&old)
+        .arg(&new)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "bad --timeout: need a non-negative number of seconds\n"
+    );
+}

@@ -25,22 +25,15 @@
 //! prints a one-line diagnostic), 4 budget exhausted or cancelled.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use hierdiff_core::{Budgets, DiffError, GumTreeParams};
-use hierdiff_doc::{ladiff, DocError, DocFormat, Engine, LaDiffOptions};
-use hierdiff_matching::MatchParams;
+use hierdiff_core::cli::{Failure, PipelineFlags};
+use hierdiff_doc::{ladiff, DocError, DocFormat, LaDiffOptions};
 
 struct Args {
     old: String,
     new: String,
-    t: f64,
-    f: f64,
-    engine: Engine,
     format: Option<DocFormat>,
-    postprocess: bool,
-    budgets: Budgets,
-    max_depth: usize,
+    options: LaDiffOptions,
     output: Output,
 }
 
@@ -55,37 +48,12 @@ enum Output {
     Json,
 }
 
-/// A failure with the exit code it maps to.
-struct Failure {
-    msg: String,
-    code: u8,
-}
-
-impl From<String> for Failure {
-    fn from(msg: String) -> Failure {
-        Failure { msg, code: 1 }
-    }
-}
-
-impl From<&str> for Failure {
-    fn from(msg: &str) -> Failure {
-        Failure {
-            msg: msg.to_string(),
-            code: 1,
-        }
-    }
-}
-
 /// Budget exhaustion and cancellation exit with code 4 so batch drivers can
 /// tell resource-governed stops from genuine failures; everything else is 1.
 fn fail_for(e: DocError) -> Failure {
-    let code = match &e {
-        DocError::Diff(DiffError::Cancelled | DiffError::BudgetExhausted(_)) => 4,
-        _ => 1,
-    };
-    Failure {
-        msg: e.to_string(),
-        code,
+    match e {
+        DocError::Diff(e) => Failure::from(e),
+        e => Failure::from(e.to_string()),
     }
 }
 
@@ -108,76 +76,25 @@ const USAGE: &str = "usage: ladiff [OPTIONS] <OLD> <NEW>\n\
 exit codes: 0 success, 1 error, 4 budget exhausted or cancelled";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        old: String::new(),
-        new: String::new(),
-        t: 0.6,
-        f: 0.5,
-        engine: Engine::Fast,
-        format: None,
-        postprocess: false,
-        budgets: Budgets::unlimited(),
-        max_depth: hierdiff_doc::DEFAULT_MAX_DEPTH,
-        output: Output::Markup,
-    };
-    let mut min_height: Option<u32> = None;
-    let mut sim_threshold: Option<f64> = None;
-    let mut max_recovery: Option<usize> = None;
+    let mut flags = PipelineFlags::default();
+    let mut format = None;
+    let mut postprocess = false;
+    let mut max_depth = hierdiff_doc::DEFAULT_MAX_DEPTH;
+    let mut output = Output::Markup;
     let mut positional = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let flag = if a == "--engine" { "--strategy" } else { &a };
+        if flags.take(flag, &mut it)? {
+            continue;
+        }
         let mut take = |name: &str| -> Result<String, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match a.as_str() {
             "-h" | "--help" => return Err(USAGE.to_string()),
-            "-t" | "--threshold" => {
-                args.t = take("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("bad -t: {e}"))?
-            }
-            "-f" | "--leaf-threshold" => {
-                args.f = take("--leaf-threshold")?
-                    .parse()
-                    .map_err(|e| format!("bad -f: {e}"))?
-            }
-            "-s" | "--strategy" | "--engine" => {
-                args.engine = match take("--strategy")?.as_str() {
-                    "fast" | "fastmatch" => Engine::Fast,
-                    "simple" => Engine::Simple,
-                    "gumtree" => Engine::GumTree(GumTreeParams::default()),
-                    other => {
-                        return Err(format!(
-                            "unknown strategy {other:?} (expected fastmatch, simple, or gumtree)"
-                        ))
-                    }
-                }
-            }
-            "--min-height" => {
-                min_height = Some(
-                    take("--min-height")?
-                        .parse()
-                        .map_err(|e| format!("bad --min-height: {e}"))?,
-                )
-            }
-            "--sim-threshold" => {
-                let s: f64 = take("--sim-threshold")?
-                    .parse()
-                    .map_err(|e| format!("bad --sim-threshold: {e}"))?;
-                if !(0.0..=1.0).contains(&s) {
-                    return Err("bad --sim-threshold: need a value in 0..=1".to_string());
-                }
-                sim_threshold = Some(s);
-            }
-            "--max-recovery" => {
-                max_recovery = Some(
-                    take("--max-recovery")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-recovery: {e}"))?,
-                )
-            }
             "--format" => {
-                args.format = match take("--format")?.as_str() {
+                format = match take("--format")?.as_str() {
                     "latex" => Some(DocFormat::Latex),
                     "html" => Some(DocFormat::Html),
                     "markdown" | "md" => Some(DocFormat::Markdown),
@@ -186,31 +103,14 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown format {other:?}")),
                 }
             }
-            "--postprocess" => args.postprocess = true,
-            "--timeout" => {
-                let secs: f64 = take("--timeout")?
-                    .parse()
-                    .map_err(|e| format!("bad --timeout: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("bad --timeout: {secs} is not a duration"));
-                }
-                args.budgets = args
-                    .budgets
-                    .with_max_wall_time(Duration::from_secs_f64(secs));
-            }
-            "--max-nodes" => {
-                let n: usize = take("--max-nodes")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-nodes: {e}"))?;
-                args.budgets = args.budgets.with_max_nodes(n);
-            }
+            "--postprocess" => postprocess = true,
             "--max-depth" => {
-                args.max_depth = take("--max-depth")?
+                max_depth = take("--max-depth")?
                     .parse()
                     .map_err(|e| format!("bad --max-depth: {e}"))?
             }
             "--output" => {
-                args.output = match take("--output")?.as_str() {
+                output = match take("--output")?.as_str() {
                     "markup" => Output::Markup,
                     "html" => Output::Html,
                     "markdown" | "md" => Output::Markdown,
@@ -225,47 +125,33 @@ fn parse_args() -> Result<Args, String> {
             other => positional.push(other.to_string()),
         }
     }
-    // The gumtree knobs are applied after the loop so they compose with
-    // `--strategy` in either order.
-    if let Engine::GumTree(params) = &mut args.engine {
-        if let Some(h) = min_height {
-            *params = params.with_min_height(h);
-        }
-        if let Some(s) = sim_threshold {
-            *params = params.with_sim_threshold(s);
-        }
-        if let Some(n) = max_recovery {
-            *params = params.with_max_recovery_size(n);
-        }
-    } else if min_height.is_some() {
-        return Err("--min-height applies to --strategy gumtree".to_string());
-    } else if sim_threshold.is_some() {
-        return Err("--sim-threshold applies to --strategy gumtree".to_string());
-    } else if max_recovery.is_some() {
-        return Err("--max-recovery applies to --strategy gumtree".to_string());
-    }
-    match positional.len() {
-        2 => {
-            args.old = positional.remove(0);
-            args.new = positional.remove(0);
-            Ok(args)
-        }
-        n => Err(format!("expected 2 input files, got {n}\n{USAGE}")),
-    }
+    let (params, strategy, budgets) = flags.finish(false)?;
+    let [old, new] = <[String; 2]>::try_from(positional)
+        .map_err(|p| format!("expected 2 input files, got {}\n{USAGE}", p.len()))?;
+    let options = LaDiffOptions {
+        params,
+        strategy,
+        postprocess,
+        budgets,
+        max_depth,
+        ..LaDiffOptions::default()
+    };
+    Ok(Args {
+        old,
+        new,
+        format,
+        options,
+        output,
+    })
 }
 
 fn run() -> Result<(), Failure> {
     let args = parse_args()?;
     let old_src = std::fs::read_to_string(&args.old).map_err(|e| format!("{}: {e}", args.old))?;
     let new_src = std::fs::read_to_string(&args.new).map_err(|e| format!("{}: {e}", args.new))?;
-    let format = args.format.unwrap_or_else(|| DocFormat::sniff(&old_src));
     let options = LaDiffOptions {
-        params: MatchParams::with_inner_threshold(args.t).with_leaf_threshold(args.f),
-        engine: args.engine,
-        postprocess: args.postprocess,
-        format,
-        budgets: args.budgets,
-        max_depth: args.max_depth,
+        format: args.format.unwrap_or_else(|| DocFormat::sniff(&old_src)),
+        ..args.options
     };
     let out = ladiff(&old_src, &new_src, &options).map_err(fail_for)?;
     match args.output {
@@ -276,12 +162,7 @@ fn run() -> Result<(), Failure> {
         Output::Delta => println!("{}", hierdiff_delta::render_text(&out.delta)),
         Output::Stats => {
             let s = &out.stats;
-            let strategy = match args.engine {
-                Engine::Fast => "fastmatch",
-                Engine::Simple => "simple",
-                Engine::GumTree(_) => "gumtree",
-            };
-            println!("strategy:          {strategy}");
+            println!("strategy:          {}", options.strategy.name());
             println!("old nodes:         {}", s.old_nodes);
             println!("new nodes:         {}", s.new_nodes);
             println!("matched pairs:     {}", s.matched);

@@ -1,8 +1,8 @@
 //! The typed error surface of the document layer.
 //!
 //! Every fallible entry point of this crate ([`ladiff`](crate::ladiff),
-//! [`diff_trees`](crate::diff_trees), [`DocFormat::parse`](crate::DocFormat),
-//! the `try_*` parser/renderer variants) reports through [`DocError`], which
+//! [`DocFormat::parse`](crate::DocFormat), the `try_*` parser/renderer
+//! variants) reports through [`DocError`], which
 //! joins the strict-parser [`XmlError`] with the resource-governance errors
 //! of the core pipeline (`DiffError::{Cancelled, BudgetExhausted}`) and the
 //! document-specific depth guard.

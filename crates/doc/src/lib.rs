@@ -11,7 +11,8 @@
 //!   `List` label (Section 5.1's acyclicity fix).
 //! * [`DocValue`] / [`word_distance`] — the word-LCS sentence `compare`.
 //! * [`ladiff`] — the end-to-end pipeline (parse → match → edit script →
-//!   delta tree → markup).
+//!   delta tree → markup), and the crate's one entry point into the core
+//!   `Differ`; [`LaDiffOptions`] picks the core `MatchStrategy`.
 //! * [`render_latex`] — the Table 2 mark-up conventions.
 //!
 //! A command-line front end ships as the `ladiff` binary.
@@ -49,9 +50,7 @@ pub use markdown::parse_markdown;
 pub use markup::render_latex;
 pub use markup_html::{escape_html, refine_words, render_html, render_html_with, HtmlOptions};
 pub use markup_md::{render_markdown, try_render_markdown};
-pub use pipeline::{
-    diff_trees, ladiff, DocFormat, Engine, LaDiffOptions, LaDiffOutput, LaDiffStats,
-};
+pub use pipeline::{ladiff, DocFormat, LaDiffOptions, LaDiffOutput, LaDiffStats};
 pub use segment::{normalize_ws, split_paragraphs, split_sentences};
 pub use value::{word_distance, words, DocValue};
 pub use xml::{parse_xml, text_label, XmlError};

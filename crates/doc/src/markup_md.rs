@@ -26,7 +26,7 @@ use crate::value::DocValue;
 /// The renderer recurses once per tree level, so the guard runs as an
 /// explicit iterative depth check *before* rendering: deeply nested input
 /// becomes a typed error instead of a stack overflow. Deltas produced by
-/// [`diff_trees`](crate::diff_trees) are already depth-bounded by
+/// [`ladiff`](crate::ladiff) are already depth-bounded by
 /// [`LaDiffOptions::max_depth`](crate::LaDiffOptions); this entry point is
 /// for hand-built or externally sourced delta trees.
 pub fn try_render_markdown(

@@ -337,3 +337,20 @@ fn html_format_flag() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("ins 1"));
 }
+
+#[test]
+fn negative_timeout_rejected() {
+    let old = write_temp("nt_old.tex", OLD);
+    let new = write_temp("nt_new.tex", NEW);
+    let out = ladiff()
+        .args(["--timeout", "-1"])
+        .arg(&old)
+        .arg(&new)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "bad --timeout: need a non-negative number of seconds\n"
+    );
+}

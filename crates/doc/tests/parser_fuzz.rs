@@ -76,10 +76,8 @@ proptest! {
     /// (trivially) and against a mutated copy without panicking.
     #[test]
     fn parsed_soup_is_diffable(src in "\\PC{0,200}", src2 in "\\PC{0,200}") {
-        use hierdiff_doc::{diff_trees, LaDiffOptions};
-        let t1 = parse_latex(&src);
-        let t2 = parse_latex(&src2);
-        let out = diff_trees(t1, t2, &LaDiffOptions::default()).unwrap();
+        use hierdiff_doc::{ladiff, LaDiffOptions};
+        let out = ladiff(&src, &src2, &LaDiffOptions::default()).unwrap();
         // Markup rendering is total too.
         let _ = out.markup.len();
     }

@@ -5,8 +5,8 @@
 //! service that retries forever converts one poisoned request into a
 //! stuck worker, and a service whose backoff depends on ambient entropy
 //! cannot replay a failing trace. `RetryPolicy` therefore fixes the
-//! attempt ceiling up front and derives its jitter from seeds the caller
-//! controls (policy seed ⊕ per-request salt), using the same splitmix64
+//! attempt ceiling up front and derives its jitter from a per-request salt
+//! the caller controls, using the same splitmix64
 //! generator as [`ChaosObserver`](crate::ChaosObserver) — one RNG path
 //! for both injecting faults and recovering from them, so a chaos run
 //! reproduces bit-for-bit from its seed.
@@ -17,8 +17,7 @@
 //!
 //! let policy = RetryPolicy::retries(2).with_base_backoff(Duration::from_millis(4));
 //! assert_eq!(policy.max_attempts(), 3);
-//! assert!(policy.should_retry(1));
-//! assert!(!policy.should_retry(3));
+//! assert_eq!(policy.retry_limit(), 2);
 //! // Jitter is deterministic in (policy, attempt, salt).
 //! assert_eq!(policy.backoff(1, 7), policy.backoff(1, 7));
 //! ```
@@ -27,16 +26,17 @@ use std::time::Duration;
 
 use crate::chaos::splitmix64;
 
+/// The cap on the exponential backoff step.
+const MAX_BACKOFF: Duration = Duration::from_millis(250);
+
 /// A bounded, deterministic retry schedule: up to
 /// [`max_attempts`](RetryPolicy::max_attempts) tries per request, with
-/// exponential backoff between failed attempts and seeded jitter (half
+/// exponential backoff between failed attempts and salted jitter (half
 /// to full of the exponential step) to de-synchronise retry storms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
     base_backoff: Duration,
-    max_backoff: Duration,
-    jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -55,8 +55,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: retries.saturating_add(1),
             base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(250),
-            jitter_seed: 0,
         }
     }
 
@@ -66,24 +64,10 @@ impl RetryPolicy {
     }
 
     /// Sets the backoff before the first retry; attempt `n`'s backoff is
-    /// `base × 2^(n-1)`, capped at the [`max
-    /// backoff`](RetryPolicy::with_max_backoff). A zero base disables
-    /// backoff sleeps entirely (useful in tests).
+    /// `base × 2^(n-1)`, capped at 250 ms. A zero base disables backoff
+    /// sleeps entirely (useful in tests).
     pub fn with_base_backoff(mut self, base: Duration) -> RetryPolicy {
         self.base_backoff = base;
-        self
-    }
-
-    /// Caps the exponential backoff growth.
-    pub fn with_max_backoff(mut self, max: Duration) -> RetryPolicy {
-        self.max_backoff = max;
-        self
-    }
-
-    /// Seeds the jitter stream. Two services with the same seed replay
-    /// the same backoff schedule for the same request salts.
-    pub fn with_jitter_seed(mut self, seed: u64) -> RetryPolicy {
-        self.jitter_seed = seed;
         self
     }
 
@@ -97,20 +81,14 @@ impl RetryPolicy {
         self.max_attempts() - 1
     }
 
-    /// Whether another attempt is allowed after `failed_attempts` tries
-    /// have already failed.
-    pub fn should_retry(&self, failed_attempts: u32) -> bool {
-        failed_attempts < self.max_attempts()
-    }
-
     /// The backoff to sleep before retry number `attempt` (1-based: the
     /// retry after the first failure is attempt 1). `salt` is a
     /// per-request value (e.g. the request index) so concurrent retries
     /// de-synchronise; the result is a pure function of
     /// `(policy, attempt, salt)`.
     ///
-    /// The exponential step is `base × 2^(attempt-1)` capped at the max
-    /// backoff; jitter scales it into `[step/2, step]`.
+    /// The exponential step is `base × 2^(attempt-1)` capped at 250 ms;
+    /// jitter scales it into `[step/2, step]`.
     pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let base = self.base_backoff.as_nanos() as u64;
         if base == 0 {
@@ -119,9 +97,9 @@ impl RetryPolicy {
         let shift = attempt.saturating_sub(1).min(32);
         let step = base
             .saturating_shl(shift)
-            .min(self.max_backoff.as_nanos() as u64)
+            .min(MAX_BACKOFF.as_nanos() as u64)
             .max(1);
-        let mut state = self.jitter_seed ^ salt.rotate_left(17) ^ u64::from(attempt);
+        let mut state = salt.rotate_left(17) ^ u64::from(attempt);
         let r = splitmix64(&mut state);
         let half = step / 2;
         let jittered = step - half + (r % (half + 1));
@@ -130,7 +108,7 @@ impl RetryPolicy {
 }
 
 /// `u64::saturating_shl` is unstable; a shift past 63 saturates to max
-/// here, which the max-backoff cap immediately clamps anyway.
+/// here, which the backoff cap immediately clamps anyway.
 trait SaturatingShl {
     fn saturating_shl(self, shift: u32) -> u64;
 }
@@ -154,26 +132,22 @@ mod tests {
         let p = RetryPolicy::default();
         assert_eq!(p.max_attempts(), 2);
         assert_eq!(p.retry_limit(), 1);
-        assert!(p.should_retry(1));
-        assert!(!p.should_retry(2));
     }
 
     #[test]
     fn none_never_retries() {
         let p = RetryPolicy::none();
         assert_eq!(p.max_attempts(), 1);
-        assert!(!p.should_retry(1));
+        assert_eq!(p.retry_limit(), 0);
     }
 
     #[test]
     fn backoff_grows_exponentially_within_bounds() {
-        let p = RetryPolicy::retries(8)
-            .with_base_backoff(Duration::from_millis(2))
-            .with_max_backoff(Duration::from_millis(64));
+        let p = RetryPolicy::retries(10).with_base_backoff(Duration::from_millis(2));
         let mut prev = Duration::ZERO;
-        for attempt in 1..=8 {
+        for attempt in 1..=10 {
             let d = p.backoff(attempt, 0);
-            let step = Duration::from_millis(2u64 << (attempt - 1)).min(Duration::from_millis(64));
+            let step = Duration::from_millis(2u64 << (attempt - 1)).min(MAX_BACKOFF);
             assert!(d <= step, "attempt {attempt}: {d:?} over step {step:?}");
             assert!(d >= step / 2, "attempt {attempt}: {d:?} under half step");
             assert!(d >= prev / 2, "collapsing backoff at attempt {attempt}");
@@ -183,7 +157,7 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_salted() {
-        let p = RetryPolicy::retries(3).with_jitter_seed(99);
+        let p = RetryPolicy::retries(3);
         assert_eq!(p.backoff(2, 5), p.backoff(2, 5));
         let distinct: std::collections::HashSet<Duration> =
             (0..32).map(|salt| p.backoff(1, salt)).collect();
@@ -199,11 +173,9 @@ mod tests {
 
     #[test]
     fn huge_attempt_saturates_at_max_backoff() {
-        let p = RetryPolicy::retries(u32::MAX)
-            .with_base_backoff(Duration::from_millis(1))
-            .with_max_backoff(Duration::from_millis(50));
+        let p = RetryPolicy::retries(u32::MAX).with_base_backoff(Duration::from_millis(1));
         let d = p.backoff(1_000_000, 0);
-        assert!(d <= Duration::from_millis(50));
-        assert!(d >= Duration::from_millis(25));
+        assert!(d <= MAX_BACKOFF);
+        assert!(d >= MAX_BACKOFF / 2);
     }
 }

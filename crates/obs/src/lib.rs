@@ -502,7 +502,7 @@ impl DiffProfile {
 
     /// Batch pairs retried after a worker panic.
     pub fn retries(&self) -> u64 {
-        self.counter("batch_retries")
+        self.counter(Counter::BatchRetries.name())
     }
 
     /// Total time across phases, nanoseconds.

@@ -164,13 +164,13 @@ fn keyed_matching_exact_on_keyed_data() {
 /// closes, anchors pair up.
 #[test]
 fn html_output_structurally_sane() {
-    use hierdiff::doc::{diff_trees, render_html, LaDiffOptions};
+    use hierdiff::doc::render_html;
     let profile = DocProfile::small();
     for seed in 0..5u64 {
         let t1 = generate_document(600 + seed, &profile);
         let (t2, _) = perturb(&t1, 650 + seed, 10, &EditMix::default(), &profile);
-        let out = diff_trees(t1, t2, &LaDiffOptions::default()).unwrap();
-        let html = render_html(&out.delta);
+        let out = Differ::new().diff(&t1, &t2).unwrap();
+        let html = render_html(out.delta.as_ref().unwrap());
         for tag in ["ins", "del", "em", "span", "p", "h1", "ul", "li"] {
             let opens = html.matches(&format!("<{tag}")).count();
             let closes = html.matches(&format!("</{tag}>")).count();

@@ -4,9 +4,10 @@
 //! authoring formats.
 
 use hierdiff::doc::{
-    diff_trees, parse_html, parse_latex, parse_markdown, parse_xml, render_markdown, LaDiffOptions,
+    ladiff, parse_html, parse_latex, parse_markdown, render_markdown, DocFormat, LaDiffOptions,
 };
 use hierdiff::tree::isomorphic;
+use hierdiff::Differ;
 
 const LATEX: &str = "\\section{Release notes}\nAlpha sentence here. Beta sentence here.\n\nGamma paragraph starts. Delta continues it.\n\\subsection{Details}\nEpsilon closes things.\n";
 const MARKDOWN: &str = "# Release notes\n\nAlpha sentence here. Beta sentence here.\n\nGamma paragraph starts. Delta continues it.\n\n## Details\n\nEpsilon closes things.\n";
@@ -32,16 +33,14 @@ fn cross_format_diff_agrees() {
     // Author the old version in LaTeX and the new in Markdown: the diff is
     // identical to the single-format diffs because the trees are.
     let new_markdown = "# Release notes\n\nAlpha sentence here. Beta sentence here. Zeta is brand new.\n\nGamma paragraph starts. Delta continues it.\n\n## Details\n\nEpsilon closes things.\n";
-    let out = diff_trees(
-        parse_latex(LATEX),
-        parse_markdown(new_markdown),
-        &LaDiffOptions::default(),
-    )
-    .unwrap();
-    assert_eq!(out.stats.ops.inserts, 1);
-    assert_eq!(out.stats.ops.total(), 1);
+    let out = Differ::new()
+        .diff(&parse_latex(LATEX), &parse_markdown(new_markdown))
+        .unwrap();
+    let ops = out.script.op_counts();
+    assert_eq!(ops.inserts, 1);
+    assert_eq!(ops.total(), 1);
     // And the report can come out in a third format entirely.
-    let report = render_markdown(&out.delta);
+    let report = render_markdown(out.delta.as_ref().unwrap());
     assert!(report.contains("**Zeta is brand new.**"), "{report}");
 }
 
@@ -62,12 +61,12 @@ fn lists_agree_across_formats() {
 fn xml_remains_distinct_but_diffable_against_itself() {
     // XML maps to its own schema (element names as labels), so it is not
     // isomorphic to the document formats — but the same machinery diffs it.
-    let a = parse_xml("<notes><p>Alpha stays.</p><p>Beta stays.</p><p>Gamma stays.</p></notes>")
-        .unwrap();
-    let b = parse_xml(
-        "<notes><p>Alpha stays.</p><p>Beta stays.</p><p>Gamma stays.</p><p>Delta arrives.</p></notes>",
-    )
-    .unwrap();
-    let out = diff_trees(a, b, &LaDiffOptions::default()).unwrap();
+    let a = "<notes><p>Alpha stays.</p><p>Beta stays.</p><p>Gamma stays.</p></notes>";
+    let b = "<notes><p>Alpha stays.</p><p>Beta stays.</p><p>Gamma stays.</p><p>Delta arrives.</p></notes>";
+    let options = LaDiffOptions {
+        format: DocFormat::Xml,
+        ..LaDiffOptions::default()
+    };
+    let out = ladiff(a, b, &options).unwrap();
     assert_eq!(out.stats.ops.inserts, 2); // <p> element + its #text
 }
