@@ -1,13 +1,13 @@
-//! Ablation bench: Myers O(ND) vs quadratic DP, across input similarity —
+//! Ablation bench: Myers O(ND) vs quadratic DP across input similarity —
 //! justifying the paper's choice of [Mye86] for near-identical sequences
-//! (FastMatch chains, child alignment) and our use of DP for short word
-//! sequences (sentence compare).
+//! (FastMatch chains, child alignment) — and, on short word sequences, the
+//! bit-parallel length kernel the sentence compare uses.
 
 // Harness code: a panic is how a test, bench or gate reports failure.
 #![allow(clippy::indexing_slicing)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hierdiff_lcs::{lcs_dp, lcs_myers};
+use hierdiff_lcs::{lcs_dp, lcs_len, lcs_myers};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Builds two sequences of length `n` differing in `edits` random
@@ -38,7 +38,8 @@ fn bench_similarity_sweep(c: &mut Criterion) {
 }
 
 fn bench_sentence_words(c: &mut Criterion) {
-    // Sentence-sized inputs (the LaDiff compare path): DP shines here.
+    // Sentence-sized inputs (the LaDiff compare path), which needs only the
+    // length.
     let mut g = c.benchmark_group("lcs/sentence-words");
     let (a, b) = similar_pair(12, 3, 9);
     g.bench_function("myers", |bench| {
@@ -46,6 +47,9 @@ fn bench_sentence_words(c: &mut Criterion) {
     });
     g.bench_function("dp", |bench| {
         bench.iter(|| lcs_dp(&a, &b, |x, y| x == y).len())
+    });
+    g.bench_function("bitparallel", |bench| {
+        bench.iter(|| lcs_len(&a, &b, |x, y| x == y))
     });
     g.finish();
 }

@@ -645,15 +645,20 @@ mod tests {
     }
 
     impl hierdiff_tree::NodeValue for Volatile {
+        type Prepared<'a> = &'a Self;
+
         fn null() -> Self {
             Volatile {
                 text: String::new(),
                 armed: false,
             }
         }
-        fn compare(&self, other: &Self) -> f64 {
-            assert!(!(self.armed || other.armed), "armed value compared");
-            if self == other {
+        fn prepare(&self) -> &Self {
+            self
+        }
+        fn compare_prepared(a: &&Self, b: &&Self) -> f64 {
+            assert!(!(a.armed || b.armed), "armed value compared");
+            if a == b {
                 0.0
             } else {
                 2.0

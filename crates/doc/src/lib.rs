@@ -52,5 +52,5 @@ pub use markup_html::{escape_html, refine_words, render_html, render_html_with, 
 pub use markup_md::{render_markdown, try_render_markdown};
 pub use pipeline::{ladiff, DocFormat, LaDiffOptions, LaDiffOutput, LaDiffStats};
 pub use segment::{normalize_ws, split_paragraphs, split_sentences};
-pub use value::{word_distance, words, DocValue};
+pub use value::{word_distance, words, DocValue, Words};
 pub use xml::{parse_xml, text_label, XmlError};

@@ -13,7 +13,7 @@
 //! score 2; and the cost-model consistency rule holds — an update is cheaper
 //! than delete + insert exactly when more than half the words survive.
 
-use hierdiff_lcs::lcs_dp;
+use hierdiff_lcs::lcs_len;
 use hierdiff_tree::NodeValue;
 use serde::{Deserialize, Serialize};
 
@@ -43,43 +43,95 @@ impl DocValue {
     }
 }
 
+/// A text value is prepared by tokenizing it once into [`Words`].
 impl NodeValue for DocValue {
+    type Prepared<'a> = Option<Words<'a>>;
+
     fn null() -> Self {
         DocValue::None
     }
 
-    fn compare(&self, other: &Self) -> f64 {
-        match (self, other) {
-            (DocValue::None, DocValue::None) => 0.0,
-            (DocValue::Text(a), DocValue::Text(b)) => word_distance(a, b),
+    fn prepare(&self) -> Option<Words<'_>> {
+        self.as_text().map(Words::new)
+    }
+
+    fn compare_prepared(a: &Option<Words<'_>>, b: &Option<Words<'_>>) -> f64 {
+        match (a, b) {
+            (None, None) => 0.0,
+            (Some(a), Some(b)) => a.distance(b),
             _ => 2.0,
         }
     }
 }
 
+/// The tokens of [`words`], unallocated.
+fn tokens(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '\''))
+        .filter(|w| !w.is_empty())
+}
+
 /// Splits `text` into word tokens: maximal alphanumeric runs (apostrophes
 /// kept inside words so contractions survive).
 pub fn words(text: &str) -> Vec<&str> {
-    text.split(|c: char| !(c.is_alphanumeric() || c == '\''))
-        .filter(|w| !w.is_empty())
-        .collect()
+    tokens(text).collect()
 }
 
-/// The paper's sentence distance in `[0, 2]` (see module docs). Word
-/// equality is ASCII-case-insensitive. Two sentences with no words at all
-/// (pure punctuation) compare equal iff their raw text is equal.
+/// A sentence tokenized once for any number of [`Words::distance`] calls.
+#[derive(Debug)]
+pub struct Words<'a> {
+    text: &'a str,
+    words: Vec<Word<'a>>,
+}
+
+/// One word and a hash of its ASCII-lowercased bytes: words equal up to
+/// ASCII case have equal hashes, so unequal hashes prove unequal words.
+#[derive(Debug)]
+struct Word<'a> {
+    w: &'a str,
+    fp: u64,
+}
+
+impl<'a> Words<'a> {
+    /// Tokenizes `text` as [`words`] does.
+    pub fn new(text: &'a str) -> Words<'a> {
+        let words = tokens(text)
+            .map(|w| Word {
+                w,
+                fp: folded_hash(w),
+            })
+            .collect();
+        Words { text, words }
+    }
+
+    /// The paper's sentence distance in `[0, 2]` (see module docs). Word
+    /// equality is ASCII-case-insensitive. Two sentences with no words at
+    /// all (pure punctuation) compare equal iff their raw text is equal.
+    pub fn distance(&self, other: &Words<'_>) -> f64 {
+        if self.text == other.text {
+            return 0.0;
+        }
+        let (la, lb) = (self.words.len(), other.words.len());
+        if la == 0 && lb == 0 {
+            return 2.0; // different punctuation-only strings
+        }
+        let common = lcs_len(&self.words, &other.words, |x, y| {
+            x.fp == y.fp && x.w.eq_ignore_ascii_case(y.w)
+        });
+        let max = la.max(lb) as f64;
+        (la + lb - 2 * common) as f64 / max
+    }
+}
+
+/// FNV-1a over the ASCII-lowercased bytes of `w`.
+fn folded_hash(w: &str) -> u64 {
+    w.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The paper's sentence distance in `[0, 2]` (see [`Words::distance`]).
 pub fn word_distance(a: &str, b: &str) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    let wa = words(a);
-    let wb = words(b);
-    if wa.is_empty() && wb.is_empty() {
-        return 2.0; // different punctuation-only strings
-    }
-    let common = lcs_dp(&wa, &wb, |x, y| x.eq_ignore_ascii_case(y)).len();
-    let max = wa.len().max(wb.len()) as f64;
-    (wa.len() + wb.len() - 2 * common) as f64 / max
+    Words::new(a).distance(&Words::new(b))
 }
 
 #[cfg(test)]
@@ -164,6 +216,69 @@ mod tests {
         // length 1 ("b" or "a"/"c") → distance (3+3−2)/3 = 4/3.
         let d = word_distance("a b c", "c b a");
         assert!(d > 1.0, "{d}");
+    }
+
+    /// The sentence distance as one quadratic DP: the oracle for
+    /// [`Words::distance`].
+    fn word_distance_dp(a: &str, b: &str) -> f64 {
+        if a == b {
+            return 0.0;
+        }
+        let wa = words(a);
+        let wb = words(b);
+        if wa.is_empty() && wb.is_empty() {
+            return 2.0;
+        }
+        let common = hierdiff_lcs::lcs_dp(&wa, &wb, |x, y| x.eq_ignore_ascii_case(y)).len();
+        let max = wa.len().max(wb.len()) as f64;
+        (wa.len() + wb.len() - 2 * common) as f64 / max
+    }
+
+    /// Words in ASCII case variants, with apostrophes and digits, and with
+    /// non-ASCII letters that ASCII case folding must leave apart.
+    const VOCAB: &[&str] = &[
+        "the", "The", "THE", "cat", "Cat", "don't", "DON'T", "it's", "x1", "X1", "42", "tex78",
+        "TeX78", "café", "CAFé", "cafÉ", "É", "é", "über", "Über", "a", "A", "b",
+    ];
+
+    /// Separators between words, some of them punctuation-only.
+    const SEPS: &[&str] = &[" ", " ", " ", ", ", ". ", "; ", " -- ", "!"];
+
+    /// A sentence of 0 to 89 words (more than one 64-bit LCS block), or
+    /// a punctuation-only string.
+    fn sentence() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        prop_oneof![
+            8 => proptest::collection::vec((0..VOCAB.len(), 0..SEPS.len()), 0..90usize).prop_map(
+                |ws| {
+                    ws.into_iter()
+                        .flat_map(|(w, s)| [VOCAB[w], SEPS[s]])
+                        .collect::<String>()
+                }
+            ),
+            1 => proptest::collection::vec(0..SEPS.len(), 0..4usize)
+                .prop_map(|ss| ss.into_iter().map(|s| SEPS[s]).collect::<String>()),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_word_distance_equals_dp_oracle(a in sentence(), b in sentence()) {
+            let d = word_distance(&a, &b);
+            proptest::prop_assert_eq!(d.to_bits(), word_distance_dp(&a, &b).to_bits(), "{:?} / {:?}", a, b);
+            let (va, vb) = (DocValue::text(a), DocValue::text(b));
+            let prepared = DocValue::compare_prepared(&va.prepare(), &vb.prepare());
+            proptest::prop_assert_eq!(va.compare(&vb).to_bits(), prepared.to_bits());
+            proptest::prop_assert_eq!(d.to_bits(), prepared.to_bits());
+            proptest::prop_assert_eq!(va.compare(&DocValue::None), 2.0);
+        }
+    }
+
+    #[test]
+    fn non_ascii_letters_do_not_fold() {
+        assert_eq!(word_distance("café", "cafÉ"), 2.0);
+        assert_eq!(word_distance("Über alles", "über alles"), 1.0);
+        assert_eq!(word_distance("CAFé", "café"), 0.0);
     }
 
     #[test]

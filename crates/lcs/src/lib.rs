@@ -17,21 +17,24 @@
 //! to equality comparisons" — hence every algorithm here needs only an
 //! equality predicate.
 //!
-//! Two implementations are provided and cross-checked by property tests:
+//! Three implementations are provided and cross-checked by property tests:
 //!
 //! * [`lcs_myers`] — Myers' O(ND) greedy algorithm \[Mye86\], the one the
 //!   paper uses (`N = |S1| + |S2|`, `D = N − 2|LCS|`). Fast when the
 //!   sequences are similar, which is the paper's common case.
-//! * [`lcs_dp`] — the classic O(N·M) dynamic program. Simple, predictable;
-//!   the oracle for tests and the right choice for short, dissimilar
-//!   sequences (e.g. sentence words).
+//! * [`lcs_len`] — the bit-parallel LCS *length* of Allison & Dix and
+//!   Hyyrö: `⌈|S1|/64⌉` word operations per element of `S2`, no table and
+//!   no pairs. The sentence compare only needs the length, so it uses this.
+//! * [`lcs_dp`] — the classic O(N·M) dynamic program: the test oracle.
 
 #![warn(missing_docs)]
 
+mod bitpar;
 mod diffops;
 mod dp;
 mod myers;
 
+pub use bitpar::lcs_len;
 pub use diffops::{sequence_diff, SeqEdit};
 pub use dp::lcs_dp;
 pub use myers::{lcs_myers, lcs_myers_counted, lcs_myers_guarded};
@@ -97,11 +100,6 @@ pub fn lcs_counted_guarded<T, U>(
 /// ```
 pub fn lcs<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
     lcs_myers(a, b, equal)
-}
-
-/// `|LCS(S1, S2)|` without materializing the pairs.
-pub fn lcs_len<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> usize {
-    lcs_myers(a, b, equal).len()
 }
 
 /// Validates that `pairs` is a common subsequence of `a` and `b` under
@@ -189,12 +187,5 @@ mod tests {
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
-    }
-
-    #[test]
-    fn lcs_len_matches_pairs() {
-        let a: Vec<u8> = b"kitten".to_vec();
-        let b: Vec<u8> = b"sitting".to_vec();
-        assert_eq!(lcs_len(&a, &b, |x, y| x == y), 4); // i t t n
     }
 }

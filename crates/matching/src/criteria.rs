@@ -222,12 +222,25 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
     /// Matching Criterion 1: may leaves `x ∈ T1` and `y ∈ T2` match?
     /// Counts one leaf compare.
     pub fn equal_leaves(&mut self, x: NodeId, y: NodeId) -> bool {
+        let (t1, t2) = (self.t1, self.t2);
+        self.equal_prepared_leaves(x, y, &t1.value(x).prepare(), &t2.value(y).prepare())
+    }
+
+    /// [`MatchCtx::equal_leaves`] on values already prepared: `px` and
+    /// `py` are [`NodeValue::prepare`] of `x`'s and `y`'s values.
+    pub fn equal_prepared_leaves(
+        &mut self,
+        x: NodeId,
+        y: NodeId,
+        px: &V::Prepared<'_>,
+        py: &V::Prepared<'_>,
+    ) -> bool {
         self.counters.match_candidates += 1;
         if self.t1.label(x) != self.t2.label(y) {
             return false;
         }
         self.counters.leaf_compares += 1;
-        self.t1.value(x).compare(self.t2.value(y)) <= self.params.leaf_threshold
+        V::compare_prepared(px, py) <= self.params.leaf_threshold
     }
 
     /// Matching Criterion 2: may internal nodes `x ∈ T1` and `y ∈ T2` match

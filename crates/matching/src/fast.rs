@@ -104,6 +104,10 @@ fn fast_match_governed<V: NodeValue>(
     // body itself must stay allocation-free).
     let mut s1: Vec<NodeId> = Vec::new();
     let mut s2: Vec<NodeId> = Vec::new();
+    // The leaf phase's chains with each value prepared once
+    // (`NodeValue::prepare`), so Criterion 1 does no per-pair setup.
+    let mut p1 = Vec::new();
+    let mut p2 = Vec::new();
     for (phase, phase_labels) in [&classes.leaf_labels, &classes.internal_labels]
         .into_iter()
         .enumerate()
@@ -140,10 +144,14 @@ fn fast_match_governed<V: NodeValue>(
             //     function is the phase's matching criterion.
             let mut lcs_stats = LcsStats::default();
             let lcs_outcome = if is_leaf_phase {
+                p1.clear();
+                p1.extend(s1.iter().map(|&x| (x, t1.value(x).prepare())));
+                p2.clear();
+                p2.extend(s2.iter().map(|&y| (y, t2.value(y).prepare())));
                 lcs_counted_guarded(
-                    &s1,
-                    &s2,
-                    |&x, &y| ctx.equal_leaves(x, y),
+                    &p1,
+                    &p2,
+                    |(x, px), (y, py)| ctx.equal_prepared_leaves(*x, *y, px, py),
                     &mut lcs_stats,
                     guard,
                 )
@@ -170,18 +178,21 @@ fn fast_match_governed<V: NodeValue>(
                     .map_err(|_| MatchError::Internal("LCS pair already matched"))?;
             }
             // 2e. Pair remaining unmatched nodes as in Algorithm Match.
-            for &x in &s1 {
+            for (i, &x) in s1.iter().enumerate() {
                 guard.tick()?;
                 if m.is_matched1(x) {
                     continue;
                 }
-                for &y in &s2 {
+                for (j, &y) in s2.iter().enumerate() {
                     if m.is_matched2(y) {
                         continue;
                     }
                     guard.tick()?;
                     let eq = if is_leaf_phase {
-                        ctx.equal_leaves(x, y)
+                        let (Some((_, px)), Some((_, py))) = (p1.get(i), p2.get(j)) else {
+                            return Err(MatchError::Internal("prepared chain out of step"));
+                        };
+                        ctx.equal_prepared_leaves(x, y, px, py)
                     } else {
                         ctx.equal_internal(x, y, &m)
                     };

@@ -63,26 +63,36 @@ pub fn check_criterion3<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> Criterion3R
         leaves2: l2.order.len(),
         ..Criterion3Report::default()
     };
-    let close = |a: &V, b: &V| a.compare(b) <= 1.0;
-    for &x in &l1.order {
+    // Each leaf is prepared once, not once per pair.
+    let p1: Vec<_> = l1
+        .order
+        .iter()
+        .map(|&x| (x, t1.label(x), t1.value(x).prepare()))
+        .collect();
+    let p2: Vec<_> = l2
+        .order
+        .iter()
+        .map(|&y| (y, t2.label(y), t2.value(y).prepare()))
+        .collect();
+    for (x, lx, vx) in &p1 {
         let mut hits = 0;
-        for &y in &l2.order {
-            if t1.label(x) == t2.label(y) && close(t1.value(x), t2.value(y)) {
+        for (_, ly, vy) in &p2 {
+            if lx == ly && V::compare_prepared(vx, vy) <= 1.0 {
                 hits += 1;
                 if hits >= 2 {
-                    report.violating1.push(x);
+                    report.violating1.push(*x);
                     break;
                 }
             }
         }
     }
-    for &y in &l2.order {
+    for (y, ly, vy) in &p2 {
         let mut hits = 0;
-        for &x in &l1.order {
-            if t1.label(x) == t2.label(y) && close(t1.value(x), t2.value(y)) {
+        for (_, lx, vx) in &p1 {
+            if lx == ly && V::compare_prepared(vx, vy) <= 1.0 {
                 hits += 1;
                 if hits >= 2 {
-                    report.violating2.push(y);
+                    report.violating2.push(*y);
                     break;
                 }
             }

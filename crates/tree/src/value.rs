@@ -15,7 +15,18 @@
 ///
 /// `Hash` is required so subtree fingerprints (the identical-subtree pruning
 /// accelerator) can digest values; hashing must agree with `PartialEq`.
+///
+/// A matcher that compares one value against many (FastMatch's per-label
+/// chains) calls [`NodeValue::prepare`] once per value and
+/// [`NodeValue::compare_prepared`] per pair, so per-value work — e.g.
+/// tokenizing a sentence — is not repeated for every pair.
 pub trait NodeValue: Clone + PartialEq + std::hash::Hash + std::fmt::Debug {
+    /// The form [`NodeValue::compare_prepared`] reads: `&'a Self` when
+    /// comparing needs no per-value setup.
+    type Prepared<'a>
+    where
+        Self: 'a;
+
     /// The default ("null") value carried by nodes that do not specify one.
     fn null() -> Self;
 
@@ -24,12 +35,21 @@ pub trait NodeValue: Clone + PartialEq + std::hash::Hash + std::fmt::Debug {
         *self == Self::null()
     }
 
-    /// Distance between two values in `[0, 2]`; `0.0` iff the values should
-    /// be considered identical for matching purposes.
+    /// The per-value half of `compare`, done once per value.
+    fn prepare(&self) -> Self::Prepared<'_>;
+
+    /// Distance between two prepared values in `[0, 2]`; `0.0` iff the
+    /// values should be considered identical for matching purposes.
     ///
-    /// Implementations must be symmetric (`compare(a, b) == compare(b, a)`)
-    /// and return `0.0` when `a == b`.
-    fn compare(&self, other: &Self) -> f64;
+    /// Implementations must be symmetric and return `0.0` when the values
+    /// are equal.
+    fn compare_prepared(a: &Self::Prepared<'_>, b: &Self::Prepared<'_>) -> f64;
+
+    /// Distance between two values in `[0, 2]`: `compare_prepared` of the
+    /// prepared pair.
+    fn compare(&self, other: &Self) -> f64 {
+        Self::compare_prepared(&self.prepare(), &other.prepare())
+    }
 }
 
 /// `String` values compare by exact equality: distance `0` when equal,
@@ -40,12 +60,18 @@ pub trait NodeValue: Clone + PartialEq + std::hash::Hash + std::fmt::Debug {
 /// paper's *LaDiff* system (Section 7) — lives in `hierdiff-doc`, which wraps
 /// text in its own value type.
 impl NodeValue for String {
+    type Prepared<'a> = &'a Self;
+
     fn null() -> Self {
         String::new()
     }
 
-    fn compare(&self, other: &Self) -> f64 {
-        if self == other {
+    fn prepare(&self) -> &Self {
+        self
+    }
+
+    fn compare_prepared(a: &&Self, b: &&Self) -> f64 {
+        if a == b {
             0.0
         } else {
             2.0
@@ -55,9 +81,15 @@ impl NodeValue for String {
 
 /// Unit values for purely structural trees (every node null-valued).
 impl NodeValue for () {
+    type Prepared<'a> = &'a Self;
+
     fn null() -> Self {}
 
-    fn compare(&self, _other: &Self) -> f64 {
+    fn prepare(&self) -> &Self {
+        self
+    }
+
+    fn compare_prepared(_a: &&Self, _b: &&Self) -> f64 {
         0.0
     }
 }
@@ -65,12 +97,18 @@ impl NodeValue for () {
 /// Integer values (useful for tests and synthetic workloads): distance `0`
 /// when equal, `2` otherwise.
 impl NodeValue for u64 {
+    type Prepared<'a> = &'a Self;
+
     fn null() -> Self {
         0
     }
 
-    fn compare(&self, other: &Self) -> f64 {
-        if self == other {
+    fn prepare(&self) -> &Self {
+        self
+    }
+
+    fn compare_prepared(a: &&Self, b: &&Self) -> f64 {
+        if a == b {
             0.0
         } else {
             2.0

@@ -90,17 +90,23 @@ fn render_result<V: hierdiff::tree::NodeValue>(out: &mut String, r: &DiffResult<
     }
 }
 
+/// The three recorded variants of every case but the dense one.
+fn all_variants() -> [(&'static str, MatchStrategy); 3] {
+    [
+        ("fast", MatchStrategy::fast()),
+        ("fast+prune", MatchStrategy::fast_pruned()),
+        ("simple", MatchStrategy::Simple),
+    ]
+}
+
 fn run_case<V: hierdiff::tree::NodeValue>(
     out: &mut String,
     name: &str,
     t1: &Tree<V>,
     t2: &Tree<V>,
+    variants: impl IntoIterator<Item = (&'static str, MatchStrategy)>,
 ) {
-    for (variant, strategy) in [
-        ("fast", MatchStrategy::fast()),
-        ("fast+prune", MatchStrategy::fast_pruned()),
-        ("simple", MatchStrategy::Simple),
-    ] {
+    for (variant, strategy) in variants {
         let r = Differ::new()
             .strategy(strategy)
             .audit(Audit::On)
@@ -158,6 +164,19 @@ fn random_corpus() -> Vec<(String, Tree<DocValue>, Tree<DocValue>)> {
     corpus
 }
 
+/// The dense shape where leaf compares dominate FastMatch: a 60-section
+/// document and a 24-edit revision of it. Only FastMatch runs; Algorithm
+/// *Match* is quadratic in the leaves at this size.
+fn dense_pair() -> (Tree<DocValue>, Tree<DocValue>) {
+    let profile = DocProfile {
+        sections: 60,
+        ..DocProfile::default()
+    };
+    let t1 = generate_document(990, &profile);
+    let (t2, _) = perturb(&t1, 991, 24, &EditMix::revision(), &profile);
+    (t1, t2)
+}
+
 fn compute_transcript() -> String {
     let mut out = String::new();
     writeln!(
@@ -173,11 +192,19 @@ fn compute_transcript() -> String {
     for (name, old, new) in FIXTURE_PAIRS {
         let t1 = load_fixture(old);
         let t2 = load_fixture(new);
-        run_case(&mut out, name, &t1, &t2);
+        run_case(&mut out, name, &t1, &t2, all_variants());
     }
     for (name, t1, t2) in random_corpus() {
-        run_case(&mut out, &name, &t1, &t2);
+        run_case(&mut out, &name, &t1, &t2, all_variants());
     }
+    let (t1, t2) = dense_pair();
+    run_case(
+        &mut out,
+        "dense-60x24",
+        &t1,
+        &t2,
+        [("fast", MatchStrategy::fast())],
+    );
     out
 }
 
