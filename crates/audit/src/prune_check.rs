@@ -125,6 +125,35 @@ mod tests {
     }
 
     #[test]
+    fn hand_corrupted_plain_seed_is_a030() {
+        // A genuine seed's pairs re-inserted plainly (no identical-subtree
+        // record), with two sentences rewired crosswise: the audit re-checks
+        // the pairs themselves, so the corruption surfaces.
+        let t1 = doc(r#"(D (P (S "k") (S "l")) (S "q"))"#);
+        let t2 = doc(r#"(D (P (S "k") (S "l")) (S "r"))"#);
+        let (genuine, _) = prune_identical(&t1, &t2).unwrap();
+        let p1 = t1.children(t1.root())[0];
+        let p2 = t2.children(t2.root())[0];
+        assert_eq!(genuine.identical_roots(), &[(p1, p2)]);
+        let (k1, l1) = (t1.children(p1)[0], t1.children(p1)[1]);
+        let (k2, l2) = (t2.children(p2)[0], t2.children(p2)[1]);
+        let mut seed = Matching::new();
+        for (x, y) in genuine.iter() {
+            let y = if x == k1 {
+                l2
+            } else if x == l1 {
+                k2
+            } else {
+                y
+            };
+            seed.insert(x, y).unwrap();
+        }
+        assert!(seed.identical_roots().is_empty());
+        let r = audit_prune(&t1, &t2, &seed, None);
+        assert!(r.has_code(Code::A030), "{r}");
+    }
+
+    #[test]
     fn arity_mismatch_is_a030() {
         let t1 = doc(r#"(D (P (S "a")))"#);
         let t2 = doc(r#"(D (P))"#);

@@ -278,8 +278,8 @@ pub struct DiffResult<V: NodeValue> {
     pub matching: Matching,
     /// The minimum conforming edit script.
     pub script: EditScript<V>,
-    /// The raw edit-script generation result (total matching, edited tree,
-    /// instrumentation).
+    /// The raw edit-script generation result (total matching,
+    /// instrumentation; `replay_on(old)` rebuilds the edited tree).
     pub mces: McesResult<V>,
     /// The delta tree (Section 6), if requested.
     pub delta: Option<DeltaTree<V>>,
@@ -480,7 +480,7 @@ mod tests {
         let old = doc(r#"(D (P (S "a") (S "b") (S "c")) (P (S "d") (S "e")))"#);
         let new = doc(r#"(D (P (S "a") (S "c")) (P (S "d") (S "e") (S "f")))"#);
         let r = Differ::new().diff(&old, &new).unwrap();
-        assert!(isomorphic(&r.mces.edited, &new));
+        assert!(isomorphic(&r.mces.replay_on(&old).unwrap(), &new));
         let c = r.script.op_counts();
         assert_eq!(c.deletes, 1);
         assert_eq!(c.inserts, 1);
@@ -531,7 +531,7 @@ mod tests {
             .audit(Audit::On)
             .diff(&old, &new)
             .unwrap();
-        assert!(isomorphic(&r.mces.edited, &new));
+        assert!(isomorphic(&r.mces.replay_on(&old).unwrap(), &new));
         assert!(r.audit.expect("audit on").is_clean());
     }
 
@@ -575,7 +575,7 @@ mod tests {
             pruned.script.len(),
             "equally good scripts"
         );
-        assert!(isomorphic(&pruned.mces.edited, &new));
+        assert!(isomorphic(&pruned.mces.replay_on(&old).unwrap(), &new));
         assert!(
             pruned.counters.nodes_pruned > 0,
             "unchanged paragraphs pruned"
@@ -602,7 +602,7 @@ mod tests {
             gumtree.profile.unwrap().phase("prune").is_none(),
             "gumtree has its own top-down phase; prune() does not apply"
         );
-        assert!(isomorphic(&gumtree.mces.edited, &new));
+        assert!(isomorphic(&gumtree.mces.replay_on(&old).unwrap(), &new));
     }
 
     #[test]
@@ -736,7 +736,7 @@ mod tests {
     fn lcs_budget_degrades_and_audits_clean() {
         // A large reversal makes both the FastMatch chain LCS and the
         // AlignChildren LCS expensive; a 1-cell budget forces the full
-        // degradation ladder. The result must still be conforming (edited
+        // degradation ladder. The result must still be conforming (replayed
         // tree isomorphic to T2) and pass every stage-boundary audit.
         let n = 30;
         let fwd: Vec<String> = (0..n).map(|i| format!("(S \"v{i}\")")).collect();
@@ -750,7 +750,10 @@ mod tests {
             .unwrap();
         assert!(r.degraded.matching, "FastMatch must have degraded");
         assert!(r.degraded.any());
-        assert!(isomorphic(&r.mces.edited, &new), "degraded yet conforming");
+        assert!(
+            isomorphic(&r.mces.replay_on(&old).unwrap(), &new),
+            "degraded yet conforming"
+        );
         let report = r.audit.expect("audit was on");
         assert!(report.is_clean(), "degraded results audit clean: {report}");
         // Ungoverned runs never degrade.
@@ -798,7 +801,7 @@ mod tests {
         assert!(r.degraded.matching);
         assert!(r.counters.nodes_pruned > 0, "prune pre-pass still ran");
         assert!(r.audit.unwrap().is_clean());
-        assert!(isomorphic(&r.mces.edited, &new));
+        assert!(isomorphic(&r.mces.replay_on(&old).unwrap(), &new));
     }
 
     #[test]
@@ -821,7 +824,7 @@ mod tests {
             .diff(&old, &new)
             .unwrap();
         assert!(seeded.audit.unwrap().is_clean(), "seed ⊆ matching holds");
-        assert!(isomorphic(&seeded.mces.edited, &new));
+        assert!(isomorphic(&seeded.mces.replay_on(&old).unwrap(), &new));
         assert_eq!(
             seeded.profile.unwrap().counter("nodes_pruned"),
             seed.len() as u64,
@@ -860,7 +863,10 @@ mod tests {
             .unwrap();
         assert!(r.degraded.matching, "truncated recovery flags the tier");
         assert!(r.audit.unwrap().is_clean());
-        assert!(isomorphic(&r.mces.edited, &new), "degraded yet conforming");
+        assert!(
+            isomorphic(&r.mces.replay_on(&old).unwrap(), &new),
+            "degraded yet conforming"
+        );
         // With room to run, the same input does not degrade.
         let full = Differ::new()
             .strategy(MatchStrategy::gumtree())

@@ -120,8 +120,8 @@ pub(crate) struct StrategyOutcome {
     pub rematched: usize,
     /// FastMatch fell back to the bounded greedy tier (LCS budget).
     pub degraded_matching: bool,
-    /// The pruning pre-pass seed and its stats, when the pre-pass ran
-    /// (audited downstream as seed ⊆ matching).
+    /// The pruning pre-pass seed and its stats, when the pre-pass ran and
+    /// the audit is on (audited downstream as seed ⊆ matching).
     pub prune_seed: Option<(Matching, PruneStats)>,
 }
 
@@ -135,14 +135,15 @@ pub(crate) fn run_strategy<V: NodeValue>(
     guard: &Guard,
     obs: &mut Option<&mut dyn PipelineObserver>,
 ) -> Result<StrategyOutcome, DiffError> {
-    // The pruning pre-pass runs as its own phase; keeping the seed around
-    // also lets the audit check the exact pairs the matcher started from
-    // instead of re-deriving them.
+    // The pruning pre-pass runs as its own phase. FastMatch takes the seed
+    // by value; a copy is kept only for the readers that need it after
+    // FastMatch consumed it: the audit (which checks the exact pairs the
+    // matcher started from) and the LCS-budget fallback to the greedy tier.
     let provided_seed = config
         .prune_seed
         .as_ref()
         .filter(|_| matches!(&config.strategy, MatchStrategy::FastMatch(_)));
-    let prune_seed = if let Some(seed) = provided_seed {
+    let pruned: Option<(Matching, PruneStats)> = if let Some(seed) = provided_seed {
         // A caller-provided seed (e.g. the serving layer pruning against
         // cached fingerprint indexes along a version chain): adopt it as
         // the pre-pass result without rebuilding any index. The audit
@@ -177,27 +178,32 @@ pub(crate) fn run_strategy<V: NodeValue>(
     } else {
         None
     };
+    let prune_stats = pruned.as_ref().map(|(_, stats)| *stats);
+    let (seed, spare_seed) = match pruned {
+        Some((seed, _)) => {
+            let keep = config.audit || config.budgets.max_lcs_cells.is_some();
+            let spare = keep.then(|| seed.clone());
+            (seed, spare)
+        }
+        None => (Matching::new(), None),
+    };
     guard.checkpoint()?;
     span_start(obs, Phase::Match);
     let mut degraded_matching = false;
     let mut gumtree_stats = None;
     let match_outcome: Result<(Matching, MatchCounters), DiffError> = match &config.strategy {
         MatchStrategy::FastMatch(_) => {
-            let seed = || {
-                prune_seed
-                    .as_ref()
-                    .map(|(seed, _)| seed.clone())
-                    .unwrap_or_default()
-            };
-            match fast_match_seeded_guarded(old, new, config.params, seed(), guard) {
+            match fast_match_seeded_guarded(old, new, config.params, seed, guard) {
                 Ok(r) => Ok((r.matching, r.counters)),
                 Err(MatchError::Guard(GuardError::Budget(Budget::LcsCells))) => {
                     // The degradation ladder: FastMatch ran out of LCS
                     // cells, so rerun the chains through the LCS-free
                     // bounded greedy matcher — a valid (criteria-enforcing)
-                    // but possibly non-maximal matching.
+                    // but possibly non-maximal matching. An LCS budget
+                    // always keeps a spare seed.
                     degraded_matching = true;
-                    bounded_greedy_match(old, new, config.params, seed(), guard, GREEDY_WINDOW)
+                    let seed = spare_seed.clone().unwrap_or_default();
+                    bounded_greedy_match(old, new, config.params, seed, guard, GREEDY_WINDOW)
                         .map(|r| (r.matching, r.counters))
                         .map_err(DiffError::from)
                 }
@@ -227,7 +233,7 @@ pub(crate) fn run_strategy<V: NodeValue>(
             return Err(e);
         }
     };
-    if let Some((_, stats)) = &prune_seed {
+    if let Some(stats) = &prune_stats {
         counters.absorb_prune(stats);
     }
     let rematched = if config.postprocess {
@@ -258,6 +264,6 @@ pub(crate) fn run_strategy<V: NodeValue>(
         counters,
         rematched,
         degraded_matching,
-        prune_seed,
+        prune_seed: spare_seed.filter(|_| config.audit).zip(prune_stats),
     })
 }

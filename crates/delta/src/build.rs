@@ -13,6 +13,13 @@
 //! interleaving old-position entries against the surviving children in
 //! original `T1` order, so "the annotated nodes are at the appropriate
 //! positions in the delta tree" and node identifiers are unnecessary.
+//!
+//! The matching's recorded identical subtrees
+//! ([`Matching::identical_roots`]) need none of that work inside them:
+//! their values are verified equal, and EditScript settles their roots, so
+//! nothing below a root moves, changes or leaves. A recorded root still
+//! takes the normal path (the subtree may move as a whole) but skips the
+//! value compare; its interior is copied out as `IDN` nodes directly.
 
 use hierdiff_edit::{EditOp, Matching, McesResult, DUMMY_ROOT_LABEL};
 use hierdiff_tree::{Label, NodeId, NodeValue, Tree};
@@ -57,11 +64,19 @@ pub fn build_delta_tree<V: NodeValue>(
         }
     }
 
+    let mut identical_root = vec![false; t2.arena_len()];
+    for &(_, y) in matching.identical_roots() {
+        if let Some(slot) = identical_root.get_mut(y.index()) {
+            *slot = true;
+        }
+    }
+
     let mut b = Builder {
         t1,
         t2,
         m: matching,
         moved: &moved,
+        identical_root: &identical_root,
         arena: Vec::with_capacity(t1.len() + t2.len()),
         t2_to_delta: vec![None; t2.arena_len()],
         pending_marks: Vec::new(),
@@ -114,6 +129,8 @@ struct Builder<'a, V: NodeValue> {
     t2: &'a Tree<V>,
     m: &'a Matching,
     moved: &'a [bool],
+    /// Roots of the recorded identical subtrees, indexed by `T2` id.
+    identical_root: &'a [bool],
     arena: Vec<DeltaNode<V>>,
     t2_to_delta: Vec<Option<DeltaNodeId>>,
     pending_marks: Vec<(DeltaNodeId, NodeId)>,
@@ -144,10 +161,11 @@ impl<V: NodeValue> Builder<'_, V> {
     /// partner's original child list.
     fn emit_new(&mut self, x: NodeId) -> DeltaNodeId {
         let w = self.m.partner2(x);
+        let identical = self.identical_root[x.index()];
         let annotation = match w {
             None => Annotation::Inserted,
             Some(w) => {
-                let was_updated = self.t1.value(w) != self.t2.value(x);
+                let was_updated = !identical && self.t1.value(w) != self.t2.value(x);
                 if self.moved[w.index()] {
                     Annotation::Moved {
                         mark: UNRESOLVED,
@@ -168,7 +186,14 @@ impl<V: NodeValue> Builder<'_, V> {
         // The tree references are `Copy`, so child slices borrow the trees,
         // not `self`, and the recursion needs no per-node copies.
         let (t1, t2) = (self.t1, self.t2);
-        let fresh: Vec<DeltaNodeId> = t2.children(x).iter().map(|&c| self.emit_new(c)).collect();
+        let fresh: Vec<DeltaNodeId> = if identical {
+            t2.children(x)
+                .iter()
+                .map(|&c| self.emit_identical(c))
+                .collect()
+        } else {
+            t2.children(x).iter().map(|&c| self.emit_new(c)).collect()
+        };
 
         // Interleave old-position entries (markers of moved-away children,
         // deleted subtrees) against the stable children, in T1 order. Stable
@@ -217,6 +242,26 @@ impl<V: NodeValue> Builder<'_, V> {
             merged.extend_from_slice(&fresh[flushed..]);
             merged
         };
+        self.arena[id.index()].children = children;
+        id
+    }
+
+    /// Emits `T2` node `x` inside a recorded identical subtree, and its
+    /// descendants, as `IDN` nodes: no compare, no move or old-position
+    /// bookkeeping.
+    fn emit_identical(&mut self, x: NodeId) -> DeltaNodeId {
+        let id = self.alloc(
+            self.t2.label(x),
+            self.t2.value(x).clone(),
+            Annotation::Identical,
+        );
+        self.t2_to_delta[x.index()] = Some(id);
+        let t2 = self.t2;
+        let children: Vec<DeltaNodeId> = t2
+            .children(x)
+            .iter()
+            .map(|&c| self.emit_identical(c))
+            .collect();
         self.arena[id.index()].children = children;
         id
     }

@@ -155,7 +155,11 @@ impl<'a> Parser<'a> {
             self.push_text(trimmed);
         }
         self.flush_paragraph();
-        self.tree
+        // Every node was appended in document order, so ids are preorder
+        // ranks: mark the layout compact (no id changes).
+        let mut tree = self.tree;
+        tree.refresh_layout();
+        tree
     }
 
     fn push_text(&mut self, t: &str) {
@@ -264,6 +268,14 @@ mod tests {
 
     fn labels_of(tree: &Tree<DocValue>) -> Vec<&'static str> {
         tree.preorder().map(|n| tree.label(n).as_str()).collect()
+    }
+
+    #[test]
+    fn parsed_trees_are_compact() {
+        let src = "\\begin{document}\nIntro text.\n\\section{A}\nOne. Two.\n\n\\begin{itemize}\n\\item x\n\\begin{enumerate}\n\\item y\n\\end{enumerate}\nafter inner.\n\\end{itemize}\nTail.\n\\subsection{B}\nThree.\n\\section{C}\nFour.\n\\end{document}\n";
+        let t = parse_latex(src);
+        assert!(t.is_compact(), "nested lists and sections append in order");
+        assert!(labels_of(&t).contains(&"List"), "{:?}", labels_of(&t));
     }
 
     #[test]

@@ -205,7 +205,7 @@ mod tests {
         let inverse = invert_script(&t1, &res.script).unwrap();
         let mut fwd = t1.clone();
         apply(&mut fwd, &res.script).unwrap();
-        assert!(isomorphic(&fwd, &res.edited));
+        assert!(isomorphic(&fwd, &res.replay_on(&t1).unwrap()));
         apply(&mut fwd, &inverse).unwrap();
         assert!(isomorphic(&fwd, &t1));
     }

@@ -9,10 +9,21 @@
 //! direction tables rather than hash maps — partner lookup, the hottest
 //! operation in both the matching algorithms (`r2` "partner checks" of
 //! Section 8) and Algorithm *EditScript*, is a single indexed load.
+//!
+//! Beside the pairs, a matching keeps a record of the *identical subtree
+//! pairs* it holds: the roots `(x, y)` of subtrees that
+//! [`Matching::insert_identical_subtrees`] verified identical (labels,
+//! values and shape) and paired node for node. Later stages read the
+//! record instead of re-deriving what the pruning pre-pass already proved:
+//! FastMatch's chain walk jumps over recorded subtrees, EditScript treats
+//! their roots as settled, and the delta builder emits their interiors as
+//! `IDN` without comparing values. Only `insert_identical_subtrees` adds
+//! to the record, and any removal drops all of it, so the record never
+//! names a pair the matching no longer holds.
 
 use std::fmt;
 
-use hierdiff_tree::NodeId;
+use hierdiff_tree::{isomorphic_subtrees, traverse::preorder_of, NodeId, NodeValue, Tree};
 
 /// Errors from [`Matching::insert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +56,8 @@ pub struct Matching {
     fwd: Vec<Option<NodeId>>, // T1 index -> T2 node
     bwd: Vec<Option<NodeId>>, // T2 index -> T1 node
     len: usize,
+    /// Roots of the verified identical subtree pairs (see the module docs).
+    identical: Vec<(NodeId, NodeId)>,
 }
 
 impl Matching {
@@ -61,6 +74,7 @@ impl Matching {
             fwd: vec![None; t1_arena],
             bwd: vec![None; t2_arena],
             len: 0,
+            identical: Vec::new(),
         }
     }
 
@@ -81,26 +95,72 @@ impl Matching {
     }
 
     /// Adds the pair `(x, y)` — `x ∈ T1`, `y ∈ T2` — enforcing one-to-one-ness.
-    #[expect(clippy::indexing_slicing, reason = "`grow` just sized both tables")]
     pub fn insert(&mut self, x: NodeId, y: NodeId) -> Result<(), MatchingError> {
-        Self::grow(&mut self.fwd, x.index());
-        Self::grow(&mut self.bwd, y.index());
-        if let Some(prev) = self.fwd[x.index()] {
+        if let Some(prev) = self.partner1(x) {
             return Err(MatchingError::AlreadyMatched1(x, prev));
         }
-        if let Some(prev) = self.bwd[y.index()] {
+        if let Some(prev) = self.partner2(y) {
             return Err(MatchingError::AlreadyMatched2(y, prev));
         }
+        self.link(x, y);
+        Ok(())
+    }
+
+    /// Adds the pair `(x, y)` of two unmatched nodes.
+    #[expect(clippy::indexing_slicing, reason = "`grow` just sized both tables")]
+    fn link(&mut self, x: NodeId, y: NodeId) {
+        Self::grow(&mut self.fwd, x.index());
+        Self::grow(&mut self.bwd, y.index());
         self.fwd[x.index()] = Some(y);
         self.bwd[y.index()] = Some(x);
         self.len += 1;
-        Ok(())
+    }
+
+    /// Pairs the subtree of `T1` node `x` with the subtree of `T2` node `y`
+    /// node for node, along parallel preorders, and records `(x, y)` as an
+    /// identical subtree pair (see the module docs).
+    ///
+    /// Returns `Ok(false)`, leaving the matching unchanged, when the
+    /// subtrees are not identical: a label, value or shape differs. Returns
+    /// an error, again leaving the matching unchanged, when a node of
+    /// either subtree is already matched.
+    pub fn insert_identical_subtrees<V: NodeValue>(
+        &mut self,
+        t1: &Tree<V>,
+        x: NodeId,
+        t2: &Tree<V>,
+        y: NodeId,
+    ) -> Result<bool, MatchingError> {
+        if !isomorphic_subtrees(t1, x, t2, y) {
+            return Ok(false);
+        }
+        if let Some((a, p)) = preorder_of(t1, x).find_map(|a| Some((a, self.partner1(a)?))) {
+            return Err(MatchingError::AlreadyMatched1(a, p));
+        }
+        if let Some((b, p)) = preorder_of(t2, y).find_map(|b| Some((b, self.partner2(b)?))) {
+            return Err(MatchingError::AlreadyMatched2(b, p));
+        }
+        // Identical shapes: parallel preorders line up node for node.
+        for (a, b) in preorder_of(t1, x).zip(preorder_of(t2, y)) {
+            // analyze: allow(S031) pairs each node of the verified subtree once
+            self.link(a, b);
+        }
+        self.identical.push((x, y));
+        Ok(true)
+    }
+
+    /// The roots `(x ∈ T1, y ∈ T2)` of the identical subtree pairs recorded
+    /// by [`Matching::insert_identical_subtrees`], in insertion order.
+    /// Every node of each recorded subtree is matched to its counterpart.
+    pub fn identical_roots(&self) -> &[(NodeId, NodeId)] {
+        &self.identical
     }
 
     /// Removes the pair containing `T1` node `x`, if any. Returns the former
     /// partner. Used by the Section 8 post-processing pass, which re-matches
-    /// nodes top-down.
+    /// nodes top-down. Drops the identical-subtree record.
     pub fn remove1(&mut self, x: NodeId) -> Option<NodeId> {
+        self.identical.clear();
         let y = self.fwd.get_mut(x.index())?.take()?;
         if let Some(back) = self.bwd.get_mut(y.index()) {
             *back = None;
@@ -110,8 +170,9 @@ impl Matching {
     }
 
     /// Removes the pair containing `T2` node `y`, if any. Returns the former
-    /// partner.
+    /// partner. Drops the identical-subtree record.
     pub fn remove2(&mut self, y: NodeId) -> Option<NodeId> {
+        self.identical.clear();
         let x = self.bwd.get_mut(y.index())?.take()?;
         if let Some(fwd) = self.fwd.get_mut(x.index()) {
             *fwd = None;
@@ -249,6 +310,95 @@ mod tests {
         assert!(!big.is_subset_of(&small));
         assert!(small.is_subset_of(&small));
         assert!(Matching::new().is_subset_of(&small));
+    }
+
+    fn doc(s: &str) -> Tree<String> {
+        Tree::parse_sexpr(s).unwrap()
+    }
+
+    /// The pair lists of two matchings, for "left untouched" checks.
+    fn pairs(m: &Matching) -> Vec<(NodeId, NodeId)> {
+        m.iter().collect()
+    }
+
+    #[test]
+    fn identical_subtrees_pair_node_for_node_and_are_recorded() {
+        let t1 = doc(r#"(D (P (S "a") (S "b")) (S "x"))"#);
+        let t2 = doc(r#"(D (S "y") (P (S "a") (S "b")))"#);
+        let p1 = t1.children(t1.root())[0];
+        let p2 = t2.children(t2.root())[1];
+        let mut m = Matching::new();
+        assert_eq!(m.insert_identical_subtrees(&t1, p1, &t2, p2), Ok(true));
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.identical_roots(), &[(p1, p2)]);
+        for (&a, &b) in t1.children(p1).iter().zip(t2.children(p2)) {
+            assert!(m.contains(a, b));
+        }
+    }
+
+    #[test]
+    fn identical_subtrees_reject_mismatches_untouched() {
+        let t1 = doc(r#"(D (P (S "a") (S "b")) (Q (S "a") (S "b")) (P (S "a")))"#);
+        let t2 = doc(r#"(D (P (S "a") (S "c")) (P (S "a") (S "b")) (P (S "a") (S "b")))"#);
+        let k1 = t1.children(t1.root()).to_vec();
+        let k2 = t2.children(t2.root()).to_vec();
+        let mut m = Matching::new();
+        m.insert(t1.root(), t2.root()).unwrap();
+        let before = pairs(&m);
+        // Value, label and shape mismatches.
+        for (x, y) in [(k1[0], k2[0]), (k1[1], k2[1]), (k1[2], k2[1])] {
+            assert_eq!(m.insert_identical_subtrees(&t1, x, &t2, y), Ok(false));
+            assert_eq!(pairs(&m), before);
+            assert!(m.identical_roots().is_empty());
+        }
+        // An already-matched node deep inside either subtree.
+        let inner1 = t1.children(k1[0])[1];
+        let inner2 = t2.children(k2[2])[1];
+        m.insert(inner1, t2.children(k2[0])[0]).unwrap();
+        let before = pairs(&m);
+        assert_eq!(
+            m.insert_identical_subtrees(&t1, k1[0], &t2, k2[1]),
+            Err(MatchingError::AlreadyMatched1(
+                inner1,
+                t2.children(k2[0])[0]
+            ))
+        );
+        assert_eq!(pairs(&m), before);
+        m.remove1(inner1);
+        m.insert(t1.children(k1[2])[0], inner2).unwrap();
+        let before = pairs(&m);
+        assert!(matches!(
+            m.insert_identical_subtrees(&t1, k1[0], &t2, k2[2]),
+            Err(MatchingError::AlreadyMatched2(y, _)) if y == inner2
+        ));
+        assert_eq!(pairs(&m), before);
+        assert!(m.identical_roots().is_empty());
+    }
+
+    #[test]
+    fn removals_drop_the_record_and_clone_keeps_it() {
+        let t1 = doc(r#"(D (P (S "a")) (S "x"))"#);
+        let t2 = doc(r#"(D (P (S "a")) (S "y"))"#);
+        let p1 = t1.children(t1.root())[0];
+        let p2 = t2.children(t2.root())[0];
+        let mut m = Matching::new();
+        m.insert(t1.root(), t2.root()).unwrap();
+        assert_eq!(m.insert_identical_subtrees(&t1, p1, &t2, p2), Ok(true));
+        let copy = m.clone();
+        assert_eq!(copy.identical_roots(), &[(p1, p2)]);
+        assert_eq!(pairs(&copy), pairs(&m));
+
+        let mut a = m.clone();
+        assert_eq!(a.remove1(t1.root()), Some(t2.root()));
+        assert!(a.identical_roots().is_empty());
+        let mut b = m.clone();
+        assert_eq!(b.remove2(t2.root()), Some(t1.root()));
+        assert!(b.identical_roots().is_empty());
+        // Even a removal that finds no pair drops the record.
+        let mut c = m.clone();
+        assert_eq!(c.remove1(t1.children(t1.root())[1]), None);
+        assert!(c.identical_roots().is_empty());
+        assert_eq!(m.identical_roots(), &[(p1, p2)]);
     }
 
     #[test]

@@ -24,15 +24,25 @@
 //! settled pair maps the two subtrees onto each other node for node:
 //! nothing inside it can be updated, inserted, deleted or moved, and no
 //! node outside it has its partner inside. So the breadth-first scan still
-//! runs the update and move steps on a settled `x` (the subtree may move
-//! as a whole) but neither aligns its children nor descends into it, and
-//! the delete scan skips the settled `w` subtrees. The output is exactly
-//! what the full scans produce.
+//! runs the move step on a settled `x` (the subtree may move as a whole)
+//! but skips the update step (the values are equal by definition), neither
+//! aligns its children nor descends into it, and the delete scan skips the
+//! settled `w` subtrees. The output is exactly what the full scans produce.
 //!
 //! Settled pairs come from the matching itself, so every matching
-//! strategy and every caller-provided matching gets the skip. Unchanged
-//! fragments that FastMatch or the identical-subtree pre-pass pair child
-//! for child cost one visit in the settling pass and nothing afterwards.
+//! strategy and every caller-provided matching gets the skip. The roots of
+//! the matching's recorded identical subtrees
+//! ([`Matching::identical_roots`], the pruning pre-pass's verified pairs)
+//! are settled by construction, so the bottom-up pass only visits the
+//! nodes outside those subtrees: the scans never ask about a node inside
+//! one, and every node they do ask about gets the full pass's verdict.
+//!
+//! ## The working copy
+//!
+//! The generator edits a value-free copy of `T1`'s shape. The update step
+//! compares against `T1`'s own values instead: each matched `w` is visited
+//! once, before any update to it, and inserted nodes are never compared,
+//! so no value is ever cloned into the copy.
 //!
 //! Running time is `O(N + N'D)` where `N` is the total node count, `N'`
 //! the number of unsettled nodes and `D` the number of misaligned nodes
@@ -58,6 +68,7 @@ use std::fmt;
 
 use hierdiff_guard::{Budget, Guard, GuardError};
 use hierdiff_lcs::{lcs_counted_guarded, LcsStats};
+use hierdiff_tree::traverse::preorder_pruned_of;
 use hierdiff_tree::{isomorphic, Label, NodeId, NodeValue, Tree};
 
 use crate::matching::Matching;
@@ -180,11 +191,9 @@ pub struct McesResult<V: NodeValue> {
     /// The minimum conforming edit script.
     pub script: EditScript<V>,
     /// The total matching `M'` between the edited `T1` and `T2` (it extends
-    /// the input `M`).
+    /// the input `M`). The edited `T1` itself is
+    /// [`replay_on`](McesResult::replay_on)`(t1)`.
     pub total_matching: Matching,
-    /// `T1` after applying the script — isomorphic to `T2` (both wrapped in
-    /// dummy roots when [`wrapped`](McesResult::wrapped) is set).
-    pub edited: Tree<V>,
     /// Instrumentation.
     pub stats: McesStats,
     /// Whether dummy roots were introduced because the input roots were
@@ -274,7 +283,7 @@ pub fn edit_script_guarded<V: NodeValue>(
         }
     }
 
-    let mut work = t1.clone();
+    let mut work = t1.map_values(|_, _| ());
     let mut m = matching.clone();
     let roots_matched = m.contains(t1.root(), t2.root());
     let t2_wrapped;
@@ -282,7 +291,7 @@ pub fn edit_script_guarded<V: NodeValue>(
         t2
     } else {
         let dummy_label = Label::intern(DUMMY_ROOT_LABEL);
-        let d1 = work.wrap_root(dummy_label, V::null());
+        let d1 = work.wrap_root(dummy_label, ());
         let mut t2c = t2.clone();
         let d2 = t2c.wrap_root(dummy_label, V::null());
         m.insert(d1, d2)
@@ -291,9 +300,14 @@ pub fn edit_script_guarded<V: NodeValue>(
         &t2_wrapped
     };
 
-    let settled = settled_nodes(&work, t2, &m, guard)?;
+    let old = OldValues {
+        t1,
+        null: V::null(),
+    };
+    let settled = settled_nodes(&work, &old, t2, &m, guard)?;
     let mut gen = Generator {
         work,
+        old,
         t2,
         m,
         ord1: Vec::new(),
@@ -308,61 +322,93 @@ pub fn edit_script_guarded<V: NodeValue>(
     gen.run()?;
 
     let Generator {
-        work,
         m,
         script,
         stats,
         degraded,
         ..
     } = gen;
-    debug_assert!(
-        isomorphic(&work, t2),
-        "EditScript must make T1 isomorphic to T2"
-    );
-
-    Ok(McesResult {
+    let result = McesResult {
         script,
         total_matching: m,
-        edited: work,
         stats,
         wrapped: !roots_matched,
         degraded,
-    })
+    };
+    debug_assert!(
+        result
+            .replay_on(t1)
+            .is_ok_and(|edited| isomorphic(&edited, t2)),
+        "EditScript must transform T1 into T2"
+    );
+    Ok(result)
 }
 
-/// Marks the settled nodes of `t2` (see the module docs) against `t1`
-/// and `m`, indexed by `t2` id, in one bottom-up pass: reverse preorder,
-/// which on a compact tree is a reverse scan of the id range.
+/// `T1`'s values as the generator sees them: the working copy carries none.
+struct OldValues<'t, V> {
+    t1: &'t Tree<V>,
+    /// The dummy root's value.
+    null: V,
+}
+
+impl<V: NodeValue> OldValues<'_, V> {
+    /// `v(w)` before the script touches it. Only the dummy root lies
+    /// outside `T1`'s arena among the nodes asked about (inserted nodes
+    /// are never compared); it carries the null value.
+    fn value_before(&self, w: NodeId) -> &V {
+        if w.index() < self.t1.arena_len() {
+            self.t1.value(w)
+        } else {
+            &self.null
+        }
+    }
+}
+
+/// Marks the settled nodes of `t2` (see the module docs) against the
+/// working shape `work`, `T1`'s values and `m`, indexed by `t2` id. The
+/// roots of `m`'s recorded identical subtrees are settled by construction;
+/// the other nodes are decided bottom-up in reverse preorder, over a
+/// preorder walk that does not enter the recorded subtrees.
 #[expect(
     clippy::indexing_slicing,
     reason = "the verdict table is sized to T2's arena and indexed by T2 ids"
 )]
 fn settled_nodes<V: NodeValue>(
-    t1: &Tree<V>,
+    work: &Tree<()>,
+    old: &OldValues<'_, V>,
     t2: &Tree<V>,
     m: &Matching,
     guard: &Guard,
 ) -> Result<Vec<bool>, GuardError> {
     let mut settled = vec![false; t2.arena_len()];
-    let order: Vec<NodeId> = t2.preorder().collect();
+    for &(_, y) in m.identical_roots() {
+        guard.tick()?;
+        settled[y.index()] = true;
+    }
+    let order: Vec<NodeId> = preorder_pruned_of(t2, t2.root(), |y| settled[y.index()]).collect();
     for &x in order.iter().rev() {
         guard.tick()?;
+        if settled[x.index()] {
+            continue; // a recorded identical subtree's root
+        }
         let Some(w) = m.partner2(x) else {
             continue;
         };
-        let (kids1, kids2) = (t1.children(w), t2.children(x));
+        let (kids1, kids2) = (work.children(w), t2.children(x));
         settled[x.index()] = kids1.len() == kids2.len()
             && kids2
                 .iter()
                 .zip(kids1)
                 .all(|(&b, &a)| settled[b.index()] && m.partner2(b) == Some(a))
-            && t1.value(w) == t2.value(x);
+            && old.value_before(w) == t2.value(x);
     }
     Ok(settled)
 }
 
 struct Generator<'t, V> {
-    work: Tree<V>,
+    /// The value-free working copy of `T1`'s shape.
+    work: Tree<()>,
+    old: OldValues<'t, V>,
     t2: &'t Tree<V>,
     m: Matching,
     /// "in order" marks for nodes of the working tree (T1 side).
@@ -391,18 +437,22 @@ impl<V: NodeValue> Generator<'_, V> {
         self.set_ord2(self.t2.root(), true);
 
         // Phase 1 of Figure 8: breadth-first scan of T2 combining the
-        // update, insert, align, and move phases. A settled node is
-        // updated and moved like any other, but its subtree needs no
-        // alignment and is not entered.
+        // update, insert, align, and move phases. A settled node is moved
+        // like any other, but it needs no update (settled partners have
+        // equal values), its subtree needs no alignment, and it is not
+        // entered.
         let mut queue = VecDeque::from([self.t2.root()]);
         while let Some(x) = queue.pop_front() {
             self.guard.tick()?;
+            let settled = self.settled[x.index()];
             let w = if x == self.t2.root() {
                 let w = self
                     .m
                     .partner2(x)
                     .ok_or(McesError::Internal("roots matched"))?;
-                self.maybe_update(w, x)?;
+                if !settled {
+                    self.maybe_update(w, x);
+                }
                 w
             } else {
                 let y = self
@@ -415,13 +465,15 @@ impl<V: NodeValue> Generator<'_, V> {
                 match self.m.partner2(x) {
                     None => self.do_insert(x, z)?,
                     Some(w) => {
-                        self.maybe_update(w, x)?;
+                        if !settled {
+                            self.maybe_update(w, x);
+                        }
                         self.maybe_move(w, x, y, z)?;
                         w
                     }
                 }
             };
-            if self.settled[x.index()] {
+            if settled {
                 continue;
             }
             self.align_children(w, x)?;
@@ -485,19 +537,14 @@ impl<V: NodeValue> Generator<'_, V> {
     }
 
     /// Step 2(c)ii of Figure 8: emit `UPD` if the partner values differ.
-    fn maybe_update(&mut self, w: NodeId, x: NodeId) -> Result<(), McesError> {
-        if self.work.value(w) != self.t2.value(x) {
-            let value = self.t2.value(x).clone();
+    fn maybe_update(&mut self, w: NodeId, x: NodeId) {
+        if self.old.value_before(w) != self.t2.value(x) {
             self.script.push(EditOp::Update {
                 node: w,
-                value: value.clone(),
+                value: self.t2.value(x).clone(),
             });
             self.stats.updates += 1;
-            self.work
-                .update(w, value)
-                .map_err(|_| McesError::Internal("updated node is alive"))?;
         }
-        Ok(())
     }
 
     /// Step 2(b) of Figure 8: insert a copy of unmatched `x` under `z`.
@@ -505,10 +552,9 @@ impl<V: NodeValue> Generator<'_, V> {
         let ord = self.find_pos(x)?;
         let raw = self.ordinal_to_raw(z, ord, None);
         let label = self.t2.label(x);
-        let value = self.t2.value(x).clone();
         let id = self
             .work
-            .insert(z, raw, label, value.clone())
+            .insert(z, raw, label, ())
             .map_err(|_| McesError::Internal("position computed against current children"))?;
         self.m
             .insert(id, x)
@@ -516,7 +562,7 @@ impl<V: NodeValue> Generator<'_, V> {
         self.script.push(EditOp::Insert {
             node: id,
             label,
-            value,
+            value: self.t2.value(x).clone(),
             parent: z,
             pos: raw,
         });
@@ -754,6 +800,15 @@ mod tests {
         m
     }
 
+    /// `t2`, wrapped in a dummy root when `res` wrapped the inputs.
+    fn wrapped_like(res: &McesResult<String>, t2: &Tree<String>) -> Tree<String> {
+        let mut t = t2.clone();
+        if res.wrapped {
+            t.wrap_root(Label::intern(DUMMY_ROOT_LABEL), String::new());
+        }
+        t
+    }
+
     fn run(
         t1_src: &str,
         t2_src: &str,
@@ -763,32 +818,33 @@ mod tests {
         let t2 = Tree::parse_sexpr(t2_src).unwrap();
         let m = matching(&t1, &t2);
         let res = edit_script(&t1, &t2, &m).unwrap();
-        // The result tree must validate and (when not wrapped) replay.
-        res.edited.validate().unwrap();
+        // The replayed tree must validate and match T2 (wrapped like T1
+        // when the roots were unmatched).
         let replayed = res.replay_on(&t1).unwrap();
+        replayed.validate().unwrap();
         assert!(
-            isomorphic(&replayed, &res.edited),
-            "replay must reproduce the edited tree"
+            isomorphic(&replayed, &wrapped_like(&res, &t2)),
+            "replay must reproduce T2"
         );
         (t1, t2, res)
     }
 
     #[test]
     fn identical_trees_empty_script() {
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (P (S "a") (S "b")) (P (S "c")))"#,
             r#"(D (P (S "a") (S "b")) (P (S "c")))"#,
             match_by_value,
         );
         assert!(res.script.is_empty(), "script: {}", res.script);
         assert!(!res.wrapped);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         assert_eq!(res.stats.unweighted_distance(), 0);
     }
 
     #[test]
     fn pure_update() {
-        let (_, t2, res) = run(r#"(D (S "old"))"#, r#"(D (S "new"))"#, |t1, t2| {
+        let (t1, t2, res) = run(r#"(D (S "old"))"#, r#"(D (S "new"))"#, |t1, t2| {
             // Match structurally: root↔root, leaf↔leaf.
             let mut m = Matching::new();
             m.insert(t1.root(), t2.root()).unwrap();
@@ -798,24 +854,24 @@ mod tests {
         });
         assert_eq!(res.script.len(), 1);
         assert_eq!(res.script.ops()[0].kind(), "UPD");
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         assert_eq!(res.stats.weighted_distance, 0);
     }
 
     #[test]
     fn pure_insert() {
-        let (_, t2, res) = run(r#"(D (S "a"))"#, r#"(D (S "a") (S "b"))"#, match_by_value);
+        let (t1, t2, res) = run(r#"(D (S "a"))"#, r#"(D (S "a") (S "b"))"#, match_by_value);
         let c = res.script.op_counts();
         assert_eq!(c.inserts, 1);
         assert_eq!(c.total(), 1);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         // The new node is matched in M'.
         assert_eq!(res.total_matching.len(), 3);
     }
 
     #[test]
     fn pure_delete() {
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (S "a") (S "b") (S "c"))"#,
             r#"(D (S "a") (S "c"))"#,
             match_by_value,
@@ -823,12 +879,12 @@ mod tests {
         let c = res.script.op_counts();
         assert_eq!(c.deletes, 1);
         assert_eq!(c.total(), 1);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
     }
 
     #[test]
     fn delete_whole_subtree_bottom_up() {
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (P (S "a") (S "b")) (S "z"))"#,
             r#"(D (S "z"))"#,
             match_by_value,
@@ -839,12 +895,12 @@ mod tests {
         // Deletes must be bottom-up: leaves "a" and "b" before the P node.
         let del_nodes: Vec<_> = res.script.iter().map(|op| op.node()).collect();
         assert_eq!(del_nodes.len(), 3);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
     }
 
     #[test]
     fn inter_parent_move() {
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (P (S "a") (S "b")) (P (S "c")))"#,
             r#"(D (P (S "a")) (P (S "c") (S "b")))"#,
             match_by_value,
@@ -852,7 +908,7 @@ mod tests {
         let c = res.script.op_counts();
         assert_eq!(c.moves, 1, "script: {}", res.script);
         assert_eq!(c.total(), 1);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         assert_eq!(res.stats.inter_moves, 1);
         assert_eq!(res.stats.intra_moves, 0);
     }
@@ -861,7 +917,7 @@ mod tests {
     fn align_children_uses_minimum_moves() {
         // Figure 7 of the paper: children a..f reordered to c d a e f b.
         // LCS keeps c,d,e,f (4 of 6); minimum moves = 2 (a and b).
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (S "a") (S "b") (S "c") (S "d") (S "e") (S "f"))"#,
             r#"(D (S "c") (S "d") (S "a") (S "e") (S "f") (S "b"))"#,
             match_by_value,
@@ -869,7 +925,7 @@ mod tests {
         let c = res.script.op_counts();
         assert_eq!(c.moves, 2, "script: {}", res.script);
         assert_eq!(c.total(), 2);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         assert_eq!(res.stats.intra_moves, 2);
         assert_eq!(res.stats.misaligned_parents, 1);
     }
@@ -878,13 +934,13 @@ mod tests {
     fn paper_figure7_two_blocks() {
         // The exact Figure 7 scenario: [2 3 4 5 6] vs partners in order
         // [3 5 6 2 4]: LCS is 3,5,6; nodes 2 and 4 move right.
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(P (S "v2") (S "v3") (S "v4") (S "v5") (S "v6"))"#,
             r#"(P (S "v3") (S "v5") (S "v6") (S "v2") (S "v4"))"#,
             match_by_value,
         );
         assert_eq!(res.script.op_counts().moves, 2, "script: {}", res.script);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
     }
 
     #[test]
@@ -916,7 +972,7 @@ mod tests {
         assert_eq!(c.moves, 1, "script: {}", res.script);
         assert_eq!(c.inserts, 1);
         assert_eq!(c.total(), 2);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         assert!(
             m.is_subset_of(&res.total_matching),
             "script must conform to M"
@@ -936,7 +992,7 @@ mod tests {
         assert_eq!(c.inserts, 2);
         assert_eq!(c.deletes, 2);
         let replayed = res.replay_on(&t1).unwrap();
-        assert!(isomorphic(&replayed, &res.edited));
+        assert!(isomorphic(&replayed, &wrapped_like(&res, &t2)));
     }
 
     #[test]
@@ -945,12 +1001,12 @@ mod tests {
         // paper cites for why operation order matters ("an insert may need
         // to precede a move, if the moved node becomes the child of the
         // inserted node", Section 4.3).
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (P (S "a") (S "b")))"#,
             r#"(D (P (S "a")) (Q (S "b")))"#,
             match_by_value,
         );
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         let kinds: Vec<_> = res.script.iter().map(|o| o.kind()).collect();
         let ins_pos = kinds.iter().position(|&k| k == "INS").unwrap();
         let mov_pos = kinds.iter().position(|&k| k == "MOV").unwrap();
@@ -963,7 +1019,7 @@ mod tests {
 
     #[test]
     fn update_and_move_combine() {
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (P (S "hello")) (P))"#,
             r#"(D (P) (P (S "goodbye")))"#,
             |t1, t2| {
@@ -985,7 +1041,7 @@ mod tests {
         assert_eq!(c.updates, 1, "script: {}", res.script);
         assert_eq!(c.moves, 1);
         assert_eq!(c.total(), 2);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
     }
 
     #[test]
@@ -1035,7 +1091,8 @@ mod tests {
         for y in t2.preorder() {
             assert!(res.total_matching.partner2(y).is_some(), "{y} unmatched");
         }
-        for w in res.edited.preorder() {
+        let edited = res.replay_on(&t1).unwrap();
+        for w in edited.preorder() {
             assert!(res.total_matching.partner1(w).is_some(), "{w} unmatched");
         }
     }
@@ -1060,10 +1117,20 @@ mod tests {
         let res = edit_script(&t1, &t2, &m).unwrap();
         assert!(res.wrapped, "roots are not matched to each other");
         let replayed = res.replay_on(&t1).unwrap();
-        assert!(isomorphic(&replayed, &res.edited));
+        assert!(isomorphic(&replayed, &wrapped_like(&res, &t2)));
         assert!(m.is_subset_of(&res.total_matching));
         // Three moves (every node relocates) plus two value updates.
         assert_eq!(res.script.op_counts().moves, 3, "script: {}", res.script);
+    }
+
+    /// The settled verdicts of `t2` against `t1` under `m`.
+    fn settled_of(t1: &Tree<String>, t2: &Tree<String>, m: &Matching) -> Vec<bool> {
+        let old = OldValues {
+            t1,
+            null: String::new(),
+        };
+        let work = t1.map_values(|_, _| ());
+        settled_nodes(&work, &old, t2, m, &Guard::unlimited()).unwrap()
     }
 
     /// Matches two isomorphic trees node for node, in pre-order.
@@ -1077,13 +1144,13 @@ mod tests {
 
     #[test]
     fn identical_trees_skip_alignment() {
-        let (_, t2, res) = run(
+        let (t1, t2, res) = run(
             r#"(D (P (S "a") (S "b")) (P (S "c") (S "d") (S "e")))"#,
             r#"(D (P (S "a") (S "b")) (P (S "c") (S "d") (S "e")))"#,
             match_by_position,
         );
         assert!(res.script.is_empty(), "script: {}", res.script);
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         assert_eq!(res.stats.lcs_cells, 0, "a settled root aligns nothing");
     }
 
@@ -1103,13 +1170,13 @@ mod tests {
             r#"(P (S "a") (S "b") (S "c"))"#,
         );
         let m = match_by_value(&t1, &t2);
-        let settled = settled_nodes(&t1, &t2, &m, &Guard::unlimited()).unwrap();
+        let settled = settled_of(&t1, &t2, &m);
         let p2 = t2.children(t2.children(t2.root())[1])[1];
         assert!(settled[p2.index()]);
         assert_eq!(res.script.len(), 1, "script: {}", res.script);
         let p1 = t1.children(t1.children(t1.root())[0])[0];
         assert!(matches!(res.script.ops()[0], EditOp::Move { node, .. } if node == p1));
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         let (_, _, leaf) = moved(r#"(P "p")"#, r#"(P "p")"#);
         assert_eq!(res.stats.lcs_cells, leaf.stats.lcs_cells);
     }
@@ -1119,7 +1186,7 @@ mod tests {
         let t1 = Tree::parse_sexpr(r#"(D (P (Q (S "a") (S "b"))) (P (S "c")))"#).unwrap();
         let t2 = Tree::parse_sexpr(r#"(D (P (Q (S "a") (S "B"))) (P (S "c")))"#).unwrap();
         let m = match_by_position(&t1, &t2);
-        let settled = settled_nodes(&t1, &t2, &m, &Guard::unlimited()).unwrap();
+        let settled = settled_of(&t1, &t2, &m);
         let by_value = |v: &str| t2.preorder().find(|&y| t2.value(y) == v).unwrap();
         let b = by_value("B");
         let unsettled: Vec<NodeId> = t2.preorder().filter(|y| !settled[y.index()]).collect();
@@ -1136,7 +1203,7 @@ mod tests {
             "script: {}",
             res.script
         );
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
     }
 
     #[test]
@@ -1164,9 +1231,46 @@ mod tests {
             res.script
         );
         let m = match_by_value(&t1, &t2);
-        let settled = settled_nodes(&t1, &t2, &m, &Guard::unlimited()).unwrap();
+        let settled = settled_of(&t1, &t2, &m);
         assert!(!settled[t2.root().index()]);
         assert!(t2.children(t2.root()).iter().all(|c| settled[c.index()]));
+    }
+
+    #[test]
+    fn recorded_identical_subtrees_settle_like_plain_pairs() {
+        // The same pairs, once recorded as identical subtrees and once
+        // inserted plainly, give the same verdict on every node the scans
+        // ask about, and the same script.
+        let t1 = Tree::parse_sexpr(r#"(D (P (S "a") (S "b")) (Q (S "k")) (S "x"))"#).unwrap();
+        let t2 = Tree::parse_sexpr(r#"(D (Q (S "k")) (S "y") (P (S "a") (S "b")))"#).unwrap();
+        let (k1, k2) = (t1.children(t1.root()), t2.children(t2.root()));
+        let mut recorded = Matching::with_capacity(t1.arena_len(), t2.arena_len());
+        recorded.insert(t1.root(), t2.root()).unwrap();
+        assert!(recorded
+            .insert_identical_subtrees(&t1, k1[0], &t2, k2[2])
+            .unwrap());
+        assert!(recorded
+            .insert_identical_subtrees(&t1, k1[1], &t2, k2[0])
+            .unwrap());
+        let mut plain = Matching::with_capacity(t1.arena_len(), t2.arena_len());
+        for (x, y) in recorded.iter() {
+            plain.insert(x, y).unwrap();
+        }
+        assert!(plain.identical_roots().is_empty());
+        let (a, b) = (
+            settled_of(&t1, &t2, &recorded),
+            settled_of(&t1, &t2, &plain),
+        );
+        for y in [t2.root(), k2[0], k2[1], k2[2]] {
+            assert_eq!(a[y.index()], b[y.index()], "{y}");
+        }
+        assert!(a[k2[0].index()] && a[k2[2].index()]);
+        let (ra, rb) = (
+            edit_script(&t1, &t2, &recorded).unwrap(),
+            edit_script(&t1, &t2, &plain).unwrap(),
+        );
+        assert_eq!(ra.script, rb.script);
+        assert_eq!(ra.stats, rb.stats);
     }
 
     #[test]
@@ -1208,7 +1312,10 @@ mod tests {
         let guarded = edit_script_guarded(&t1, &t2, &m, &Guard::unlimited()).unwrap();
         assert_eq!(plain.script.len(), guarded.script.len());
         assert!(!guarded.degraded);
-        assert!(isomorphic(&plain.edited, &guarded.edited));
+        assert!(isomorphic(
+            &plain.replay_on(&t1).unwrap(),
+            &guarded.replay_on(&t1).unwrap()
+        ));
     }
 
     #[test]
@@ -1228,9 +1335,9 @@ mod tests {
         assert!(res.degraded, "LCS budget must have tripped");
         // Conformance survives degradation: the script still replays T1
         // into a tree isomorphic to T2.
-        assert!(isomorphic(&res.edited, &t2));
+        assert!(isomorphic(&res.replay_on(&t1).unwrap(), &t2));
         let replayed = res.replay_on(&t1).unwrap();
-        assert!(isomorphic(&replayed, &res.edited));
+        assert!(isomorphic(&replayed, &t2));
         assert!(m.is_subset_of(&res.total_matching));
         // Minimality does not: per-child moves exceed the LCS-minimal
         // count for a reversal (which keeps one anchor, moving n-1).
@@ -1266,7 +1373,7 @@ mod tests {
         let res = edit_script(&t1, &t2, &m).unwrap();
         let mut replay = t1.clone();
         apply(&mut replay, &res.script).unwrap();
-        assert!(isomorphic(&replay, &res.edited));
+        assert!(isomorphic(&replay, &res.replay_on(&t1).unwrap()));
         assert!(isomorphic(&replay, &t2));
     }
 }

@@ -116,26 +116,64 @@ impl MatchCounters {
 
 /// Contiguous leaf ranges: the leaves of any subtree occupy a contiguous
 /// slice of the document-ordered leaf sequence.
+///
+/// A node's range is empty exactly when the node contains no leaves: a
+/// childless internal-label node, or an internal node whose childless
+/// descendants all bear internal labels (e.g. a section holding only empty
+/// paragraphs).
 #[derive(Clone, Debug)]
-pub struct LeafRanges {
+pub struct LeafRanges<'t> {
     /// All leaves in document order.
     pub order: Vec<NodeId>,
-    /// `range[node.index()] = (start, end)` into `order` (empty for nodes
-    /// with no leaf descendants — only possible for childless internal-label
-    /// nodes, which have themselves as their only "leaf").
-    range: Vec<(u32, u32)>,
+    bounds: Bounds<'t>,
+}
+
+/// Where each node's slice of [`LeafRanges::order`] starts and ends.
+#[derive(Clone, Debug)]
+enum Bounds<'t> {
+    /// A [compact](Tree::is_compact) tree: node `x`'s subtree is the id
+    /// range `[x, skip(x))`, so its leaves are `order[prefix[x] ..
+    /// prefix[skip(x)]]`, where `prefix[i]` counts the leaves with ids below
+    /// `i` (`prefix` has one entry past the last id).
+    Prefix { prefix: Vec<u32>, skips: &'t [u32] },
+    /// Any other tree: `(start, end)` per node, indexed by id.
+    Ranges(Vec<(u32, u32)>),
 }
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "`range` is sized to `arena_len()`; its slices are endpoints into `order`"
+    reason = "the bound tables are sized to `arena_len()` (plus one for `prefix`) and skip \
+              offsets are at most `arena_len()`; their slices are endpoints into `order`"
 )]
-impl LeafRanges {
+impl<'t> LeafRanges<'t> {
     /// Computes leaf ranges. A node counts as a leaf iff it is childless
     /// *and* bears a leaf label per `classes` — a childless internal-label
     /// node (e.g. an empty paragraph) contains no leaves, so it neither
     /// inflates its ancestors' `|x|` nor participates in Criterion 1.
-    pub fn new<V: NodeValue>(tree: &Tree<V>, classes: &LabelClasses) -> LeafRanges {
+    ///
+    /// On a compact tree this is one forward scan into a leaf prefix array
+    /// that, with the tree's borrowed skip offsets, bounds every subtree's
+    /// slice; other trees take an explicit pre/post walk.
+    pub fn new<V: NodeValue>(tree: &'t Tree<V>, classes: &LabelClasses) -> LeafRanges<'t> {
+        if let Some(skips) = tree.skip_offsets() {
+            // Ids run in preorder, and a node is childless iff its subtree
+            // ends right after it. `prefix[i]` counts the leaves before id
+            // `i`; one entry past the last id holds the total.
+            let mut prefix: Vec<u32> = Vec::with_capacity(tree.arena_len() + 1);
+            let mut order: Vec<NodeId> = Vec::with_capacity(tree.arena_len());
+            for (id, &skip) in tree.preorder().zip(skips) {
+                // analyze: allow(S031) O(n) leaf-range precompute before the governed match loops
+                prefix.push(order.len() as u32);
+                if skip as usize == id.index() + 1 && classes.is_leaf_label(tree.label(id)) {
+                    order.push(id);
+                }
+            }
+            prefix.push(order.len() as u32);
+            return LeafRanges {
+                order,
+                bounds: Bounds::Prefix { prefix, skips },
+            };
+        }
         let mut order = Vec::new();
         let mut range = vec![(0u32, 0u32); tree.arena_len()];
         // Iterative pre/post pass assigning [start, end) leaf slices.
@@ -153,25 +191,36 @@ impl LeafRanges {
                 range[id.index()] = (order.len() as u32 - 1, order.len() as u32);
             } else {
                 stack.push((id, true));
-                for &c in tree.children(id).iter().rev() {
-                    // analyze: allow(S031) O(n) leaf-range precompute before the governed match loops
-                    stack.push((c, false));
-                }
+                stack.extend(tree.children(id).iter().rev().map(|&c| (c, false)));
             }
         }
-        LeafRanges { order, range }
+        LeafRanges {
+            order,
+            bounds: Bounds::Ranges(range),
+        }
+    }
+
+    /// `node`'s `[start, end)` slice of `order`.
+    fn bounds(&self, node: NodeId) -> (usize, usize) {
+        let i = node.index();
+        match &self.bounds {
+            Bounds::Prefix { prefix, skips } => {
+                (prefix[i] as usize, prefix[skips[i] as usize] as usize)
+            }
+            Bounds::Ranges(range) => (range[i].0 as usize, range[i].1 as usize),
+        }
     }
 
     /// The leaves contained in `node`, in document order.
     pub fn leaves_of(&self, node: NodeId) -> &[NodeId] {
-        let (s, e) = self.range[node.index()];
-        &self.order[s as usize..e as usize]
+        let (s, e) = self.bounds(node);
+        &self.order[s..e]
     }
 
     /// `|node|` — the number of leaves contained in `node`.
     pub fn count(&self, node: NodeId) -> usize {
-        let (s, e) = self.range[node.index()];
-        (e - s) as usize
+        let (s, e) = self.bounds(node);
+        e - s
     }
 }
 
@@ -186,13 +235,13 @@ pub struct MatchCtx<'a, V: NodeValue> {
     /// Label classification for the pair.
     pub classes: &'a LabelClasses,
     /// Leaf ranges of `t1`.
-    pub leaves1: LeafRanges,
+    pub leaves1: LeafRanges<'a>,
     /// Leaf ranges of `t2`.
-    pub leaves2: LeafRanges,
+    pub leaves2: LeafRanges<'a>,
     /// Pre-order intervals of `t1`.
-    pub iv1: Intervals,
+    pub iv1: Intervals<'a>,
     /// Pre-order intervals of `t2`.
-    pub iv2: Intervals,
+    pub iv2: Intervals<'a>,
     /// Instrumentation (interior mutability not needed — methods take
     /// `&mut self`).
     pub counters: MatchCounters,
@@ -255,8 +304,8 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
         let nx = self.leaves1.count(x);
         let ny = self.leaves2.count(y);
         if nx == 0 || ny == 0 {
-            // Childless internal-label nodes contain no leaves; with nothing
-            // to intersect, two empty nodes are trivially similar and an
+            // A node with no leaves (see `LeafRanges`) has nothing
+            // to intersect: two empty nodes are trivially similar and an
             // empty/non-empty pair is not.
             return nx == ny;
         }
@@ -299,7 +348,7 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierdiff_tree::Tree;
+    use hierdiff_tree::{Label, Tree};
 
     fn doc(s: &str) -> Tree<String> {
         Tree::parse_sexpr(s).unwrap()
@@ -419,6 +468,73 @@ mod tests {
         assert!(ctx.equal_internal(e1, e2, &m), "both empty");
         assert!(!ctx.equal_internal(e1, f2, &m), "empty vs non-empty");
         assert!(ctx.equal_internal(f1, f2, &m));
+    }
+
+    #[test]
+    fn nodes_holding_only_empty_internal_nodes_contain_no_leaves() {
+        // `Sec` holds only an empty `P`, and `P` is an internal label (it
+        // bears `S` elsewhere), so `Sec` contains no leaves at all.
+        let t1 = doc(r#"(D (Sec (P)) (P (S "a")))"#);
+        let t2 = doc(r#"(D (Sec (P)) (P (S "a")) (Sec (P (S "a"))))"#);
+        let classes = LabelClasses::classify(&t1, &t2);
+        assert!(!classes.is_leaf_label(Label::intern("P")));
+        let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
+        let sec1 = t1.children(t1.root())[0];
+        let [sec2, p2, full2] = t2.children(t2.root()) else {
+            panic!("three children")
+        };
+        let (sec2, p2, full2) = (*sec2, *p2, *full2);
+        assert_eq!(ctx.leaves1.count(sec1), 0);
+        assert!(ctx.leaves1.leaves_of(sec1).is_empty());
+        assert_eq!(ctx.leaves1.count(t1.children(sec1)[0]), 0);
+        assert_eq!(ctx.leaves1.count(t1.root()), 1);
+        let mut m = Matching::new();
+        let s1 = t1.children(t1.children(t1.root())[1])[0];
+        m.insert(s1, t2.children(p2)[0]).unwrap();
+        assert!(ctx.equal_internal(sec1, sec2, &m), "both contain no leaves");
+        assert!(!ctx.equal_internal(sec1, full2, &m), "empty vs non-empty");
+        // Dirty and compact trees agree.
+        let mut dirty = t1.clone();
+        let extra = dirty.insert(t1.root(), 2, Label::intern("S"), "b".into());
+        dirty.delete_leaf(extra.unwrap()).unwrap();
+        assert!(!dirty.is_compact());
+        let lr = LeafRanges::new(&dirty, &classes);
+        for id in t1.preorder() {
+            assert_eq!(lr.leaves_of(id), ctx.leaves1.leaves_of(id), "{id}");
+        }
+    }
+
+    #[test]
+    fn compact_and_dirty_layouts_agree() {
+        use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};
+        let profile = DocProfile::small();
+        for seed in 0..8u64 {
+            let t1 = generate_document(seed, &profile);
+            let (dirty, _) = perturb(&t1, seed + 100, 12, &EditMix::revision(), &profile);
+            assert!(!dirty.is_compact());
+            let mut compact = dirty.clone();
+            let remap = compact.compact();
+            let classes = LabelClasses::classify(&t1, &dirty);
+            let again = LabelClasses::classify(&t1, &compact);
+            assert_eq!(classes.leaf_labels, again.leaf_labels);
+            assert_eq!(classes.internal_labels, again.internal_labels);
+            let (a, b) = (
+                LeafRanges::new(&dirty, &classes),
+                LeafRanges::new(&compact, &classes),
+            );
+            let moved: Vec<NodeId> = a.order.iter().map(|&l| remap[l.index()].unwrap()).collect();
+            assert_eq!(moved, b.order, "seed {seed}");
+            for id in dirty.preorder() {
+                let c = remap[id.index()].unwrap();
+                assert_eq!(a.count(id), b.count(c), "seed {seed}, node {id}");
+                let leaves: Vec<NodeId> = a
+                    .leaves_of(id)
+                    .iter()
+                    .map(|&l| remap[l.index()].unwrap())
+                    .collect();
+                assert_eq!(leaves, b.leaves_of(c), "seed {seed}, node {id}");
+            }
+        }
     }
 
     #[test]

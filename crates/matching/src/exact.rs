@@ -1,19 +1,17 @@
-//! Identical-subtree pre-matching — the introduction's "quickly match
-//! fragments that have not changed" promise, realized via subtree
-//! fingerprints (the technique later tree differs such as GumTree adopted
-//! as their top-down phase).
+//! FastMatch with the identical-subtree pre-matching — the introduction's
+//! "quickly match fragments that have not changed" promise, realized via
+//! subtree fingerprints (the technique later tree differs such as GumTree
+//! adopted as their top-down phase).
 //!
-//! [`prematch_unique_identical`] pairs every subtree whose fingerprint
-//! occurs exactly once in each tree (confirmed by real isomorphism, so hash
-//! collisions cannot corrupt the matching), pairing the whole subtree
-//! node-by-node. Feeding the result to
-//! [`fast_match_seeded`](crate::fast_match_seeded) — packaged as
-//! [`fast_match_accelerated`] — skips all `compare` calls inside unchanged
-//! regions. Uniqueness on *both* sides keeps the pre-pass consistent with
-//! Criterion 3: an ambiguous fragment (duplicate) is left to the regular
-//! algorithms.
+//! [`fast_match_accelerated`] runs the pruning pre-pass
+//! ([`prune_identical`](crate::prune_identical)), which pairs every subtree
+//! whose fingerprint occurs exactly once in each tree (confirmed by real
+//! isomorphism, so hash collisions cannot corrupt the matching), and feeds
+//! the seed to [`fast_match_seeded`](crate::fast_match_seeded), skipping
+//! all `compare` calls inside unchanged regions. Uniqueness on *both*
+//! sides keeps the pre-pass consistent with Criterion 3: an ambiguous
+//! fragment (duplicate) is left to the regular algorithms.
 
-use hierdiff_edit::Matching;
 use hierdiff_tree::{NodeValue, Tree};
 
 use crate::criteria::MatchParams;
@@ -21,18 +19,6 @@ use crate::error::MatchError;
 use crate::fast::fast_match_seeded;
 use crate::prune::prune_identical;
 use crate::simple::MatchResult;
-
-/// Pairs subtrees that are bit-identical and unique on both sides — the
-/// pruning pre-pass of [`crate::prune_identical`], exposed as a bare seed
-/// matching (a matched subtree's interior is paired wholesale). Use
-/// [`crate::prune_identical`] directly to also receive the
-/// [`PruneStats`](crate::PruneStats).
-pub fn prematch_unique_identical<V: NodeValue>(
-    t1: &Tree<V>,
-    t2: &Tree<V>,
-) -> Result<Matching, MatchError> {
-    Ok(prune_identical(t1, t2)?.0)
-}
 
 /// [`fast_match`](crate::fast_match) with the identical-subtree pruning
 /// pre-pass. Produces criteria-conformant matchings (pre-matched pairs are
@@ -55,48 +41,6 @@ pub fn fast_match_accelerated<V: NodeValue>(
 mod tests {
     use super::*;
     use crate::fast::fast_match;
-
-    fn doc(s: &str) -> Tree<String> {
-        Tree::parse_sexpr(s).unwrap()
-    }
-
-    #[test]
-    fn identical_trees_prematch_entirely() {
-        let t1 = doc(r#"(D (P (S "a") (S "b")) (P (S "c")))"#);
-        let t2 = t1.clone();
-        let seed = prematch_unique_identical(&t1, &t2).unwrap();
-        assert_eq!(seed.len(), t1.len(), "whole tree pre-matched");
-    }
-
-    #[test]
-    fn changed_regions_left_unmatched() {
-        let t1 = doc(r#"(D (P (S "a") (S "b")) (P (S "old")))"#);
-        let t2 = doc(r#"(D (P (S "a") (S "b")) (P (S "new")))"#);
-        let seed = prematch_unique_identical(&t1, &t2).unwrap();
-        // The (a b) paragraph subtree pre-matches (3 nodes); the root and
-        // the changed paragraph do not.
-        let p1 = t1.children(t1.root())[0];
-        assert!(seed.is_matched1(p1));
-        assert!(seed.is_matched1(t1.children(p1)[0]));
-        assert!(!seed.is_matched1(t1.root()));
-        let changed = t1.children(t1.root())[1];
-        assert!(!seed.is_matched1(changed));
-    }
-
-    #[test]
-    fn duplicates_are_skipped() {
-        // Two identical paragraphs on each side: ambiguous, so the pre-pass
-        // must not touch them (Criterion 3 discipline). A changed sentence
-        // keeps the roots from wholesale-matching.
-        let t1 = doc(r#"(D (P (S "dup")) (P (S "dup")) (S "anchor") (S "old"))"#);
-        let t2 = doc(r#"(D (P (S "dup")) (P (S "dup")) (S "anchor") (S "new"))"#);
-        let seed = prematch_unique_identical(&t1, &t2).unwrap();
-        let p1 = t1.children(t1.root())[0];
-        assert!(!seed.is_matched1(p1), "ambiguous subtree pre-matched");
-        // The unique anchor does pre-match.
-        let anchor = t1.children(t1.root())[2];
-        assert!(seed.is_matched1(anchor));
-    }
 
     #[test]
     fn accelerated_agrees_with_plain_fastmatch() {
@@ -134,19 +78,6 @@ mod tests {
             let r1 = hierdiff_edit::edit_script(&t1, &t2, &plain.matching).unwrap();
             let r2 = hierdiff_edit::edit_script(&t1, &t2, &fast.matching).unwrap();
             assert_eq!(r1.script.len(), r2.script.len(), "seed {seed_n}");
-        }
-    }
-
-    #[test]
-    fn nested_unique_subtrees_not_double_matched() {
-        // The whole document is unique-identical: only one wholesale match
-        // should happen (at the root), covering everything exactly once.
-        let t1 = doc(r#"(D (P (S "x") (S "y")) (Q (S "z")))"#);
-        let t2 = t1.clone();
-        let seed = prematch_unique_identical(&t1, &t2).unwrap();
-        assert_eq!(seed.len(), t1.len());
-        for (a, b) in seed.iter() {
-            assert_eq!(t1.label(a), t2.label(b));
         }
     }
 }

@@ -8,16 +8,91 @@
 //! order. Nodes still unmatched after the call to LCS are processed as in
 //! Algorithm Match." Per-label node chains provide the sequences; Myers'
 //! O(ND) LCS makes the common near-identical case cheap.
+//!
+//! A seed's matched nodes can never pair again, so the chains hold only
+//! the seed's *unmatched* nodes. They are built by one document-order walk
+//! per tree that jumps over the seed's recorded identical subtrees
+//! ([`Matching::identical_roots`]), so under the pruning pre-pass the walk
+//! costs the residual, not the tree.
 
 use hierdiff_edit::Matching;
-use hierdiff_guard::Guard;
+use hierdiff_guard::{Guard, GuardError};
 use hierdiff_lcs::{lcs_counted_guarded, LcsStats};
-use hierdiff_tree::{NodeId, NodeValue, Tree};
+use hierdiff_tree::traverse::preorder_pruned_of;
+use hierdiff_tree::{Label, NodeId, NodeValue, Tree};
 
 use crate::criteria::{MatchCtx, MatchParams};
 use crate::error::MatchError;
 use crate::schema::LabelClasses;
-use crate::simple::{label_chains, MatchResult};
+use crate::simple::MatchResult;
+
+/// The unmatched nodes of one tree bucketed by label, each bucket in
+/// document order: bucket `l` is `nodes[start[l]..start[l + 1]]`.
+struct Chains {
+    start: Vec<usize>,
+    nodes: Vec<NodeId>,
+}
+
+impl Chains {
+    /// Walks `tree` in document order, skipping the subtrees under
+    /// `roots` (recorded identical subtrees, matched throughout), and
+    /// buckets the nodes `matched` rejects by label with a counting sort.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`is_root` is sized to the arena; `start` is grown past every label index \
+                  before the counts land, and the buckets partition `nodes`"
+    )]
+    fn residual<V: NodeValue>(
+        tree: &Tree<V>,
+        roots: impl Iterator<Item = NodeId>,
+        matched: impl Fn(NodeId) -> bool,
+        guard: &Guard,
+    ) -> Result<Chains, GuardError> {
+        let mut is_root = vec![false; tree.arena_len()];
+        for r in roots {
+            guard.tick()?;
+            is_root[r.index()] = true;
+        }
+        let mut residual: Vec<NodeId> = Vec::new();
+        // `start[l + 1]` first counts label `l`; the prefix sum turns the
+        // counts into bucket starts.
+        let mut start = vec![0usize; Label::universe_size() + 1];
+        for id in preorder_pruned_of(tree, tree.root(), |id| is_root[id.index()]) {
+            guard.tick()?;
+            if matched(id) {
+                continue;
+            }
+            let l = tree.label(id).index();
+            if l + 1 >= start.len() {
+                start.resize(l + 2, 0);
+            }
+            start[l + 1] += 1;
+            residual.push(id);
+        }
+        for i in 1..start.len() {
+            guard.tick()?;
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut nodes = vec![tree.root(); residual.len()];
+        for &id in &residual {
+            guard.tick()?;
+            let l = tree.label(id).index();
+            nodes[next[l]] = id;
+            next[l] += 1;
+        }
+        Ok(Chains { start, nodes })
+    }
+
+    /// The chain of `label`: its unmatched nodes in document order.
+    fn of_label(&self, label: Label) -> &[NodeId] {
+        let l = label.index();
+        match (self.start.get(l), self.start.get(l + 1)) {
+            (Some(&a), Some(&b)) => self.nodes.get(a..b).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+}
 
 /// Algorithm *FastMatch* (Figure 11).
 ///
@@ -93,19 +168,28 @@ fn fast_match_governed<V: NodeValue>(
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     guard.checkpoint()?;
     let mut m = seed;
-    let chains1 = label_chains(t1);
-    guard.checkpoint()?;
-    let chains2 = label_chains(t2);
+    // A node of label `l` is matched only by the seed or while `l` itself
+    // is processed, so the seed's unmatched nodes are exactly each chain's
+    // candidates when its turn comes.
+    let roots = m.identical_roots();
+    let chains1 = Chains::residual(
+        t1,
+        roots.iter().map(|&(x, _)| x),
+        |x| m.is_matched1(x),
+        guard,
+    )?;
+    let chains2 = Chains::residual(
+        t2,
+        roots.iter().map(|&(_, y)| y),
+        |y| m.is_matched2(y),
+        guard,
+    )?;
     guard.checkpoint()?;
 
-    let empty: Vec<NodeId> = Vec::new();
-    // The filtered-chain buffers live outside the per-label loop: one
-    // allocation pair for the whole run (hot-loop discipline — the loop
-    // body itself must stay allocation-free).
-    let mut s1: Vec<NodeId> = Vec::new();
-    let mut s2: Vec<NodeId> = Vec::new();
     // The leaf phase's chains with each value prepared once
-    // (`NodeValue::prepare`), so Criterion 1 does no per-pair setup.
+    // (`NodeValue::prepare`), so Criterion 1 does no per-pair setup. The
+    // buffers live outside the per-label loop (hot-loop discipline — the
+    // loop body itself must stay allocation-free).
     let mut p1 = Vec::new();
     let mut p2 = Vec::new();
     for (phase, phase_labels) in [&classes.leaf_labels, &classes.internal_labels]
@@ -115,26 +199,11 @@ fn fast_match_governed<V: NodeValue>(
         guard.checkpoint()?;
         let is_leaf_phase = phase == 0;
         for &label in phase_labels {
-            // Seeded/already-matched nodes can never pair again, so drop them
-            // from the chains up front. (Equivalent to guarding inside the
-            // LCS equality callback — `m` is constant during one `lcs` call —
-            // but keeps Myers' O(ND) fast when a pre-pass seeded most of the
-            // chain: a mostly-matched chain otherwise has no common elements
-            // left, driving D to l1+l2 and the LCS to quadratic.)
-            s1.clear();
-            for &x in chains1.get(&label).unwrap_or(&empty) {
-                guard.tick()?;
-                if !m.is_matched1(x) {
-                    s1.push(x);
-                }
-            }
-            s2.clear();
-            for &y in chains2.get(&label).unwrap_or(&empty) {
-                guard.tick()?;
-                if !m.is_matched2(y) {
-                    s2.push(y);
-                }
-            }
+            // Only unmatched nodes are chained: this keeps Myers' O(ND)
+            // fast when a pre-pass seeded most of the chain (a mostly
+            // matched chain otherwise has no common elements left, driving
+            // D to l1+l2 and the LCS to quadratic).
+            let (s1, s2) = (chains1.of_label(label), chains2.of_label(label));
             if s1.is_empty() || s2.is_empty() {
                 continue;
             }
@@ -157,8 +226,8 @@ fn fast_match_governed<V: NodeValue>(
                 )
             } else {
                 lcs_counted_guarded(
-                    &s1,
-                    &s2,
+                    s1,
+                    s2,
                     |&x, &y| ctx.equal_internal(x, y, &m),
                     &mut lcs_stats,
                     guard,

@@ -54,7 +54,7 @@ pub use bound::{
 pub use criteria::{LeafRanges, MatchCounters, MatchCtx, MatchParams};
 pub use dice::{dice_stats, DiceStats};
 pub use error::MatchError;
-pub use exact::{fast_match_accelerated, prematch_unique_identical};
+pub use exact::fast_match_accelerated;
 pub use fast::{fast_match, fast_match_guarded, fast_match_seeded, fast_match_seeded_guarded};
 pub use gumtree::{
     gumtree_match, gumtree_match_guarded, GumTreeMatch, GumTreeParams, GumTreeStats,

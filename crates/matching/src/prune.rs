@@ -6,7 +6,10 @@
 //! [`FingerprintIndex`]: subtree fingerprints locate candidate identical
 //! subtrees in O(N), a tallest-first scan keeps only *maximal* ones, and a
 //! real isomorphism check confirms every candidate so hash collisions can
-//! never corrupt the matching (they are merely counted). Uniqueness is
+//! never corrupt the matching (they are merely counted). The check and the
+//! node-for-node pairing are [`Matching::insert_identical_subtrees`], which
+//! also records each accepted pair's roots in the matching, so every later
+//! stage knows which subtrees are verified identical. Uniqueness is
 //! required on **both** sides before a candidate is accepted, which keeps
 //! the pre-pass consistent with Criterion 3's discipline: an ambiguous
 //! fragment (duplicated on either side) is left for the regular algorithms
@@ -18,7 +21,7 @@
 //! unchanged region is skipped while `common`-ratios still see its leaves.
 
 use hierdiff_edit::Matching;
-use hierdiff_tree::{isomorphic_subtrees, FingerprintIndex, NodeValue, Tree};
+use hierdiff_tree::{FingerprintIndex, NodeValue, Tree};
 
 use crate::error::MatchError;
 
@@ -80,22 +83,18 @@ pub fn prune_identical_indexed<V: NodeValue>(
             continue; // defensive: a collision already claimed y
         }
         stats.candidates += 1;
-        if !isomorphic_subtrees(t1, x, t2, y) {
+        // Verifies labels, values and shape, then pairs the subtrees node
+        // for node and records `(x, y)` for the later stages.
+        let before = m.len();
+        let identical = m
+            .insert_identical_subtrees(t1, x, t2, y)
+            .map_err(|_| MatchError::Internal("pruned subtree pair already matched"))?;
+        if !identical {
             stats.collisions += 1;
             continue;
         }
-        // Identical shapes: parallel pre-orders line up node-by-node.
-        let xs = hierdiff_tree::traverse::preorder_of(t1, x);
-        let ys = hierdiff_tree::traverse::preorder_of(t2, y);
-        let mut paired = 0usize;
-        for (a, b) in xs.zip(ys) {
-            // analyze: allow(S031) pairs each pruned node exactly once
-            m.insert(a, b)
-                .map_err(|_| MatchError::Internal("pruned subtree pair already matched"))?;
-            paired += 1;
-        }
         stats.subtrees_pruned += 1;
-        stats.nodes_pruned += paired;
+        stats.nodes_pruned += m.len() - before;
     }
     Ok((m, stats))
 }
@@ -118,6 +117,7 @@ mod tests {
         assert_eq!(stats.nodes_pruned, t1.len());
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.collisions, 0);
+        assert_eq!(m.identical_roots(), &[(t1.root(), t2.root())]);
     }
 
     #[test]
@@ -132,6 +132,12 @@ mod tests {
         assert_eq!(stats.subtrees_pruned, 1);
         assert_eq!(stats.nodes_pruned, 3);
         assert!(!m.is_matched1(t1.root()), "root differs");
+        let q = t2.children(t2.root())[0];
+        assert_eq!(
+            m.identical_roots(),
+            &[(p, q)],
+            "one record per maximal subtree"
+        );
     }
 
     #[test]
@@ -182,5 +188,56 @@ mod tests {
         let (m, stats) = prune_identical(&t1, &t2).unwrap();
         assert_eq!(m.len(), 0);
         assert_eq!(stats, PruneStats::default());
+    }
+
+    #[test]
+    fn identical_trees_prematch_entirely() {
+        let t1 = doc(r#"(D (P (S "a") (S "b")) (P (S "c")))"#);
+        let t2 = t1.clone();
+        let seed = prune_identical(&t1, &t2).unwrap().0;
+        assert_eq!(seed.len(), t1.len(), "whole tree pre-matched");
+    }
+
+    #[test]
+    fn changed_regions_left_unmatched() {
+        let t1 = doc(r#"(D (P (S "a") (S "b")) (P (S "old")))"#);
+        let t2 = doc(r#"(D (P (S "a") (S "b")) (P (S "new")))"#);
+        let seed = prune_identical(&t1, &t2).unwrap().0;
+        // The (a b) paragraph subtree pre-matches (3 nodes); the root and
+        // the changed paragraph do not.
+        let p1 = t1.children(t1.root())[0];
+        assert!(seed.is_matched1(p1));
+        assert!(seed.is_matched1(t1.children(p1)[0]));
+        assert!(!seed.is_matched1(t1.root()));
+        let changed = t1.children(t1.root())[1];
+        assert!(!seed.is_matched1(changed));
+    }
+
+    #[test]
+    fn duplicates_are_skipped() {
+        // Two identical paragraphs on each side: ambiguous, so the pre-pass
+        // must not touch them (Criterion 3 discipline). A changed sentence
+        // keeps the roots from wholesale-matching.
+        let t1 = doc(r#"(D (P (S "dup")) (P (S "dup")) (S "anchor") (S "old"))"#);
+        let t2 = doc(r#"(D (P (S "dup")) (P (S "dup")) (S "anchor") (S "new"))"#);
+        let seed = prune_identical(&t1, &t2).unwrap().0;
+        let p1 = t1.children(t1.root())[0];
+        assert!(!seed.is_matched1(p1), "ambiguous subtree pre-matched");
+        // The unique anchor does pre-match.
+        let anchor = t1.children(t1.root())[2];
+        assert!(seed.is_matched1(anchor));
+    }
+
+    #[test]
+    fn nested_unique_subtrees_not_double_matched() {
+        // The whole document is unique-identical: only one wholesale match
+        // should happen (at the root), covering everything exactly once.
+        let t1 = doc(r#"(D (P (S "x") (S "y")) (Q (S "z")))"#);
+        let t2 = t1.clone();
+        let seed = prune_identical(&t1, &t2).unwrap().0;
+        assert_eq!(seed.len(), t1.len());
+        for (a, b) in seed.iter() {
+            assert_eq!(t1.label(a), t2.label(b));
+        }
     }
 }

@@ -29,6 +29,22 @@ pub struct LabelClasses {
     pub leaf_labels: Vec<Label>,
     /// Labels borne by at least one internal node.
     pub internal_labels: Vec<Label>,
+    /// `leaf_labels` as a table indexed by `Label::index`, for O(1)
+    /// [`is_leaf_label`](LabelClasses::is_leaf_label).
+    is_leaf: Vec<bool>,
+}
+
+/// What classification learns about one label, in a table indexed by
+/// `Label::index`.
+#[derive(Clone, Copy)]
+struct LabelInfo {
+    /// Maximum height of a node bearing the label.
+    height: u32,
+    /// Whether some bearer is internal.
+    internal: bool,
+    /// Whether a bearer was seen (its first sighting fixes the label's
+    /// place in the first-seen order).
+    seen: bool,
 }
 
 impl LabelClasses {
@@ -52,50 +68,57 @@ impl LabelClasses {
         Self::classify_ticked(t1, t2, || guard.tick())
     }
 
+    /// One dense height pass and one preorder pass per tree, with per-label
+    /// facts in a table indexed by `Label::index` (labels are interned
+    /// process-wide, so the table is as small as the label universe).
     #[expect(
         clippy::indexing_slicing,
-        reason = "`heights` is sized to `arena_len()` and indexed by the same tree's ids"
+        reason = "`heights` is sized to the same tree's arena; `info` is grown to every label \
+                  index before it is read"
     )]
     fn classify_ticked<V: NodeValue, E>(
         t1: &Tree<V>,
         t2: &Tree<V>,
         mut tick: impl FnMut() -> Result<(), E>,
     ) -> Result<LabelClasses, E> {
-        // Per label: max bearer height, and whether any bearer is internal.
-        let mut info: HashMap<Label, (usize, bool)> = HashMap::new();
+        let unseen = LabelInfo {
+            height: 0,
+            internal: false,
+            seen: false,
+        };
+        let mut info = vec![unseen; Label::universe_size()];
         let mut seen_order: Vec<Label> = Vec::new();
         for tree in [t1, t2] {
-            // Dense per-node heights in one postorder pass (Tree::height
-            // recomputes recursively per call — O(subtree) each).
-            let mut heights = vec![0usize; tree.arena_len()];
-            for id in tree.postorder() {
-                tick()?;
-                let h = tree
-                    .children(id)
-                    .iter()
-                    .map(|&c| heights[c.index()] + 1)
-                    .max()
-                    .unwrap_or(0);
-                heights[id.index()] = h;
-            }
+            let heights = tree.heights();
+            tick()?;
             for id in tree.preorder() {
                 tick()?;
                 let l = tree.label(id);
-                let e = info.entry(l).or_insert_with(|| {
+                if l.index() >= info.len() {
+                    info.resize(l.index() + 1, unseen);
+                }
+                let h = heights[id.index()];
+                let e = &mut info[l.index()];
+                if !e.seen {
+                    e.seen = true;
                     seen_order.push(l);
-                    (0, false)
-                });
-                e.0 = e.0.max(heights[id.index()]);
-                e.1 |= !tree.is_leaf(id);
+                }
+                e.height = e.height.max(h);
+                // A node is internal iff it has a child, i.e. height > 0.
+                e.internal |= h > 0;
             }
         }
         let mut leaf_labels = Vec::new();
-        let mut internal: Vec<(usize, Label)> = Vec::new();
+        let mut internal: Vec<(u32, Label)> = Vec::new();
+        let mut is_leaf = vec![false; info.len()];
         for l in seen_order {
             tick()?;
-            match info.get(&l) {
-                Some(&(h, true)) => internal.push((h, l)),
-                _ => leaf_labels.push(l),
+            let e = info[l.index()];
+            if e.internal {
+                internal.push((e.height, l));
+            } else {
+                leaf_labels.push(l);
+                is_leaf[l.index()] = true;
             }
         }
         // Stable: equal heights keep first-seen order.
@@ -103,6 +126,7 @@ impl LabelClasses {
         Ok(LabelClasses {
             leaf_labels,
             internal_labels: internal.into_iter().map(|(_, l)| l).collect(),
+            is_leaf,
         })
     }
 
@@ -112,9 +136,9 @@ impl LabelClasses {
         self.internal_labels.len()
     }
 
-    /// Whether `l` is classified as a leaf label.
+    /// Whether `l` is classified as a leaf label. O(1).
     pub fn is_leaf_label(&self, l: Label) -> bool {
-        self.leaf_labels.contains(&l)
+        self.is_leaf.get(l.index()).copied().unwrap_or(false)
     }
 }
 

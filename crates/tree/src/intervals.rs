@@ -15,23 +15,28 @@ use crate::value::NodeValue;
 ///
 /// Build with [`Intervals::new`]; invalidated by any structural change to the
 /// tree (the matching algorithms only read the trees, so one snapshot per
-/// tree suffices).
+/// tree suffices). On a [compact](Tree::is_compact) tree the snapshot
+/// borrows the tree's own skip offsets and costs nothing to build.
 #[derive(Clone, Debug)]
-pub struct Intervals {
-    enter: Vec<u32>,
-    exit: Vec<u32>,
+pub struct Intervals<'t> {
+    repr: Repr<'t>,
 }
 
-impl Intervals {
+#[derive(Clone, Debug)]
+enum Repr<'t> {
+    /// Ids are preorder ranks, and the exit clock of `i` is one past its
+    /// contiguous subtree: the tree's recorded skip offset.
+    Compact(&'t [u32]),
+    /// Entry and exit clocks of an explicit pre/post numbering.
+    Numbered { enter: Vec<u32>, exit: Vec<u32> },
+}
+
+impl<'t> Intervals<'t> {
     /// Numbers every live node of `tree` in pre-order.
-    pub fn new<V: NodeValue>(tree: &Tree<V>) -> Intervals {
-        if let Some(skips) = tree.skips_raw() {
-            // Ids already are preorder ranks, and the exit clock of `i` is
-            // one past its contiguous subtree: the recorded skip offset.
-            let enter: Vec<u32> = (0..n32(tree.arena_len())).collect();
+    pub fn new<V: NodeValue>(tree: &'t Tree<V>) -> Intervals<'t> {
+        if let Some(skips) = tree.skip_offsets() {
             return Intervals {
-                enter,
-                exit: skips.to_vec(),
+                repr: Repr::Compact(skips),
             };
         }
         let mut enter = vec![u32::MAX; tree.arena_len()];
@@ -51,7 +56,9 @@ impl Intervals {
                 stack.push((c, false));
             }
         }
-        Intervals { enter, exit }
+        Intervals {
+            repr: Repr::Numbered { enter, exit },
+        }
     }
 
     /// Whether `ancestor` is a (non-strict) ancestor of `node` in the
@@ -59,13 +66,21 @@ impl Intervals {
     pub fn is_ancestor(&self, ancestor: NodeId, node: NodeId) -> bool {
         let a = ancestor.index();
         let n = node.index();
-        at(&self.enter, a) <= at(&self.enter, n) && at(&self.enter, n) < at(&self.exit, a)
+        match &self.repr {
+            Repr::Compact(skips) => a <= n && n < at(skips, a) as usize,
+            Repr::Numbered { enter, exit } => {
+                at(enter, a) <= at(enter, n) && at(enter, n) < at(exit, a)
+            }
+        }
     }
 
     /// Pre-order rank of `node` (0-based). Nodes earlier in document order
     /// have smaller ranks.
     pub fn preorder_rank(&self, node: NodeId) -> u32 {
-        at(&self.enter, node.index())
+        match &self.repr {
+            Repr::Compact(_) => n32(node.index()),
+            Repr::Numbered { enter, .. } => at(enter, node.index()),
+        }
     }
 }
 

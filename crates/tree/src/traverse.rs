@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::tree::{n32, NodeId, Tree};
+use crate::tree::{at, n32, NodeId, Tree};
 use crate::value::NodeValue;
 
 /// Breadth-first traversal starting at `start` (inclusive): parents before
@@ -34,6 +34,29 @@ pub fn preorder_of<V: NodeValue>(tree: &Tree<V>, start: NodeId) -> Preorder<'_, 
         None => Mode::Stack(vec![start]),
     };
     Preorder { tree, mode }
+}
+
+/// Pre-order traversal of the subtree rooted at `start` that does not
+/// descend below a node for which `stop` returns `true`: that node is
+/// yielded, its descendants are not. `stop` is asked once per yielded node.
+///
+/// On a [compact](Tree::is_compact) tree a stopped node's subtree is jumped
+/// over with its skip offset, so the walk costs the nodes it yields, not
+/// the nodes it passes.
+pub fn preorder_pruned_of<V: NodeValue, F: FnMut(NodeId) -> bool>(
+    tree: &Tree<V>,
+    start: NodeId,
+    stop: F,
+) -> PrunedPreorder<'_, V, F> {
+    let mode = match (tree.subtree_range(start), tree.skip_offsets()) {
+        (Some(range), Some(skips)) => PrunedMode::Scan {
+            next: n32(range.start),
+            end: n32(range.end),
+            skips,
+        },
+        _ => PrunedMode::Stack(vec![start]),
+    };
+    PrunedPreorder { tree, mode, stop }
 }
 
 /// Post-order traversal of the subtree rooted at `start`: children before
@@ -113,6 +136,52 @@ impl<V: NodeValue> Iterator for Preorder<'_, V> {
                 (n, Some(n))
             }
             Mode::Stack(stack) => (stack.len(), None),
+        }
+    }
+}
+
+enum PrunedMode<'t> {
+    /// Compact layout: `[next, end)`, jumping stopped subtrees by `skips`.
+    Scan {
+        next: u32,
+        end: u32,
+        skips: &'t [u32],
+    },
+    /// General (dirty) layout: explicit DFS worklist.
+    Stack(Vec<NodeId>),
+}
+
+/// See [`preorder_pruned_of`].
+pub struct PrunedPreorder<'t, V, F> {
+    tree: &'t Tree<V>,
+    mode: PrunedMode<'t>,
+    stop: F,
+}
+
+impl<V: NodeValue, F: FnMut(NodeId) -> bool> Iterator for PrunedPreorder<'_, V, F> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        match &mut self.mode {
+            PrunedMode::Scan { next, end, skips } => {
+                if *next >= *end {
+                    return None;
+                }
+                let id = NodeId(*next);
+                *next = if (self.stop)(id) {
+                    at(skips, id.index())
+                } else {
+                    *next + 1
+                };
+                Some(id)
+            }
+            PrunedMode::Stack(stack) => {
+                let id = stack.pop()?;
+                if !(self.stop)(id) {
+                    stack.extend(self.tree.children(id).iter().rev().copied());
+                }
+                Some(id)
+            }
         }
     }
 }
@@ -236,6 +305,32 @@ mod tests {
                 assert!(pos(c) < pos(id));
             }
         }
+    }
+
+    #[test]
+    fn pruned_preorder_skips_stopped_subtrees_on_both_layouts() {
+        // The sample is built by appends, so it is dirty; its compacted
+        // copy takes the skip-offset path.
+        let (dirty, n) = sample();
+        assert!(!dirty.is_compact());
+        let expected = vec![n[0], n[1], n[2], n[6], n[3]];
+        let walk = super::preorder_pruned_of(&dirty, dirty.root(), |id| id == n[1]);
+        assert_eq!(walk.collect::<Vec<_>>(), expected);
+
+        let mut compact = dirty.clone();
+        let remap = compact.compact();
+        assert!(compact.is_compact());
+        let (p, q) = (remap[n[1].index()].unwrap(), remap[n[2].index()].unwrap());
+        let walk: Vec<_> =
+            super::preorder_pruned_of(&compact, compact.root(), |id| id == p || id == q).collect();
+        let full: Vec<_> = compact.preorder().collect();
+        let kept: Vec<_> = full
+            .into_iter()
+            .filter(|&id| !compact.ancestors(id).any(|a| a == p || a == q))
+            .collect();
+        assert_eq!(walk, kept);
+        // A stopped start yields itself only.
+        assert_eq!(super::preorder_pruned_of(&compact, p, |_| true).count(), 1);
     }
 
     #[test]

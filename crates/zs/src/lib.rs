@@ -491,10 +491,7 @@ mod tests {
             }
         }
         let res = hierdiff_edit::edit_script(&t1, &t2, &m).unwrap();
-        assert!(hierdiff_tree::isomorphic(
-            &res.replay_on(&t1).unwrap(),
-            &res.edited
-        ));
+        assert!(hierdiff_tree::isomorphic(&res.replay_on(&t1).unwrap(), &t2));
     }
 
     proptest::proptest! {

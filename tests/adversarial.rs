@@ -68,9 +68,8 @@ fn governed_outcome_is_sound(
     match result {
         Ok(r) => {
             let replayed = r.mces.replay_on(old).unwrap();
-            assert!(isomorphic(&replayed, &r.mces.edited), "replay != edited");
             assert!(
-                isomorphic(&r.mces.edited, &conformance_target(&r, new)),
+                isomorphic(&replayed, &conformance_target(&r, new)),
                 "not conforming to T2"
             );
             if let Some(report) = &r.audit {
@@ -179,7 +178,10 @@ fn adversarial_fixtures_replay_to_t2() {
         let plain = Differ::new().audit(Audit::On).diff(&old, &new).unwrap();
         assert!(!plain.degraded.any(), "{stem}: ungoverned run degraded");
         assert!(
-            isomorphic(&plain.mces.edited, &conformance_target(&plain, &new)),
+            isomorphic(
+                &plain.mces.replay_on(&old).unwrap(),
+                &conformance_target(&plain, &new)
+            ),
             "{stem}: ungoverned run not conforming"
         );
 
@@ -191,11 +193,7 @@ fn adversarial_fixtures_replay_to_t2() {
         any_degraded |= governed.degraded.any();
         let replayed = governed.mces.replay_on(&old).unwrap();
         assert!(
-            isomorphic(&replayed, &governed.mces.edited),
-            "{stem}: degraded replay != edited"
-        );
-        assert!(
-            isomorphic(&governed.mces.edited, &conformance_target(&governed, &new)),
+            isomorphic(&replayed, &conformance_target(&governed, &new)),
             "{stem}: degraded result not conforming to T2"
         );
         assert!(
@@ -223,7 +221,7 @@ fn shuffle_fixture_degrades_matching_tier() {
         r.degraded.matching,
         "shuffle stopped tripping the LCS budget"
     );
-    assert!(isomorphic(&r.mces.edited, &new));
+    assert!(isomorphic(&r.mces.replay_on(&old).unwrap(), &new));
 }
 
 /// Guard-budget exhaustion *inside* GumTree's bounded Zhang–Shasha
@@ -265,9 +263,8 @@ fn gumtree_recovery_budget_exhaustion_degrades_cleanly() {
     let r = run();
     assert!(r.degraded.matching, "the ladder must engage");
     let replayed = r.mces.replay_on(&old).unwrap();
-    assert!(isomorphic(&replayed, &r.mces.edited), "replay != edited");
     assert!(
-        isomorphic(&r.mces.edited, &conformance_target(&r, &new)),
+        isomorphic(&replayed, &conformance_target(&r, &new)),
         "truncated recovery still conforms to T2"
     );
     assert!(r.audit.expect("audit on").is_clean());

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use hierdiff::edit::{edit_script, weighted_edit_distance, CostModel, Matching};
+use hierdiff::edit::{
+    edit_script, weighted_edit_distance, CostModel, Matching, McesResult, DUMMY_ROOT_LABEL,
+};
 use hierdiff::matching::{fast_match, fast_match_accelerated, MatchParams};
 use hierdiff::tree::{isomorphic, Label, NodeId, NodeValue, Tree};
 use hierdiff::Differ;
@@ -38,6 +40,16 @@ fn arb_tree(
 }
 
 /// Random edits applied to a clone of `t`, returning the result.
+/// `t2`, wrapped in a dummy root when `res` wrapped the inputs: what
+/// replaying `res` on `t1` must produce.
+fn target(res: &McesResult<String>, t2: &Tree<String>) -> Tree<String> {
+    let mut t = t2.clone();
+    if res.wrapped {
+        t.wrap_root(Label::intern(DUMMY_ROOT_LABEL), String::null());
+    }
+    t
+}
+
 fn apply_random_edits(t: &Tree<String>, ops: &[(u8, u32, u32)]) -> Tree<String> {
     let mut out = t.clone();
     for &(kind, a, b) in ops {
@@ -96,7 +108,7 @@ proptest! {
         m.insert(t1.root(), t2.root()).unwrap();
         let res = edit_script(&t1, &t2, &m).unwrap();
         let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert!(isomorphic(&replayed, &target(&res, &t2)));
     }
 
     /// With the FastMatch matching, the same holds, and the script length
@@ -111,7 +123,7 @@ proptest! {
         let res = edit_script(&t1, &t2, &matched.matching).unwrap();
         prop_assert!(res.script.len() <= t1.len() + t2.len() + 2);
         let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert!(isomorphic(&replayed, &target(&res, &t2)));
     }
 
     /// Self-diff is empty: matching a tree against itself finds the
@@ -137,7 +149,7 @@ proptest! {
         let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
         let res = edit_script(&t1, &t2, &matched.matching).unwrap();
         let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert!(isomorphic(&replayed, &target(&res, &t2)));
 
         // Weighted distance recomputed by replay agrees with the stats.
         if !res.wrapped {
@@ -193,7 +205,7 @@ proptest! {
         }
         let res = edit_script(&t1, &t2, &m).unwrap();
         let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert!(isomorphic(&replayed, &target(&res, &t2)));
         prop_assert!(hierdiff::edit::conforms_to(&res.script, &m));
         prop_assert!(m.is_subset_of(&res.total_matching));
     }
@@ -236,7 +248,7 @@ proptest! {
         let t2 = apply_random_edits(&t1, &ops);
         let r = Differ::new().delta(false).prune(true).diff(&t1, &t2).unwrap();
         let replayed = r.mces.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &r.mces.edited));
+        prop_assert!(isomorphic(&replayed, &target(&r.mces, &t2)));
         if !r.mces.wrapped {
             prop_assert!(isomorphic(&replayed, &t2), "apply(script, T1) != T2");
         }
